@@ -48,9 +48,11 @@ from .numcore import (
 )
 from .partial_op import (
     ExtendibilityReport,
+    GramSpectrum,
     PartialOperator,
     ValidationReport,
     full_domain,
+    gram_spectrum,
     hilbert_bound,
     is_extendible,
     my_constant,

@@ -38,14 +38,15 @@ class CliInputError(Exception):
     pass
 
 
+def _is_number(obj) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+
+
 def _scalar_in(obj, where: str) -> complex:
-    if isinstance(obj, (int, float)):
+    if _is_number(obj):
         return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) for v in obj)
-    ):
+    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
         return complex(obj[0], obj[1])
     raise CliInputError(f"{where}: expected a number or [re, im] pair")
 
@@ -117,12 +118,9 @@ def _tolerances(args, file_tol: dict | None) -> ToleranceConfig:
 
 
 def _partial_operator_in(payload: dict, where: str = "payload") -> partial_op.PartialOperator:
-    try:
-        n = int(payload["dim"])
-        basis = matrix_in(payload["domain_basis"], f"{where}.domain_basis")
-        action = matrix_in(payload["action"], f"{where}.action")
-    except KeyError as exc:
-        raise CliInputError(f"{where}: missing field {exc}")
+    n = int(payload["dim"])
+    basis = matrix_in(payload["domain_basis"], f"{where}.domain_basis")
+    action = matrix_in(payload["action"], f"{where}.action")
     if basis.size == 0:
         basis = basis.reshape(n, -1) if basis.shape[0] in (0, n) else basis
         action = action.reshape(n, -1) if action.shape[0] in (0, n) else action
@@ -134,7 +132,7 @@ def _partial_operator_in(payload: dict, where: str = "payload") -> partial_op.Pa
     return partial_op.PartialOperator(basis, action)
 
 
-def run_check(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
+def run_check(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
     op = _partial_operator_in(payload)
     report = partial_op.is_extendible(op, cfg)
     result = {
@@ -175,7 +173,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
     return "ok", result
 
 
-def run_complete(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
+def run_complete(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
     a11 = matrix_in(payload["a11"], "payload.a11")
     a21 = matrix_in(payload["a21"], "payload.a21", cols=a11.shape[0])
     report = extension_set.halmos_complete(a11, a21, cfg)
@@ -189,23 +187,13 @@ def run_complete(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, d
         result["a22_min"] = matrix_out(report.a22_min)
         result["completion"] = matrix_out(report.completion)
         return "ok", result
-    k = a11.shape[0]
-    domain = np.zeros((k + a21.shape[0], k), dtype=np.complex128)
-    domain[:k, :] = np.eye(k)
-    witness = partial_op.is_extendible(
-        partial_op.PartialOperator(domain, np.vstack([a11, a21])), cfg
-    ).witness
-    if witness is not None:
-        result["witness"] = vector_out(witness)
+    result["witness"] = vector_out(report.witness)
     return "not_extendible", result
 
 
-def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
-    try:
-        m = int(payload["set_size"])
-        n = int(payload["fiber_dim"])
-    except KeyError as exc:
-        raise CliInputError(f"payload: missing field {exc}")
+def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
+    m = int(payload["set_size"])
+    n = int(payload["fiber_dim"])
     inner = dict(payload)
     inner["dim"] = m * n
     op = _partial_operator_in(inner)
@@ -215,21 +203,18 @@ def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dic
         "blocks": [
             [matrix_out(kernel.blocks[s, t]) for t in range(m)] for s in range(m)
         ],
-        "assembled": matrix_out(kernels.operator_from_kernel(kernel, cfg)),
+        "assembled": matrix_out(kernels.operator_from_kernel(kernel)),
         "positive_definite": kernels.is_positive_definite_kernel(kernel, cfg),
     }
     return "ok", result
 
 
-def run_functional(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
-    try:
-        m = int(payload["dim"])
-        mult_rows = payload["mult"]
-        invol = matrix_in(payload["invol"], "payload.invol")
-        ideal_basis = matrix_in(payload["ideal_basis"], "payload.ideal_basis")
-        values = vector_in(payload["functional"], "payload.functional")
-    except KeyError as exc:
-        raise CliInputError(f"payload: missing field {exc}")
+def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
+    m = int(payload["dim"])
+    mult_rows = payload["mult"]
+    invol = matrix_in(payload["invol"], "payload.invol")
+    ideal_basis = matrix_in(payload["ideal_basis"], "payload.ideal_basis")
+    values = vector_in(payload["functional"], "payload.functional")
     if not isinstance(mult_rows, list) or len(mult_rows) != m:
         raise CliInputError("payload.mult: expected m lists of m vectors")
     mult = np.zeros((m, m, m), dtype=np.complex128)
@@ -278,7 +263,7 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str,
     return "ok", result
 
 
-def run_commutation(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
+def run_commutation(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
     inner = payload.get("partial_operator")
     if not isinstance(inner, dict):
         raise CliInputError("payload.partial_operator: expected an object")
@@ -296,7 +281,7 @@ def run_commutation(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str
     return "ok", result
 
 
-def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, dict]:
+def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
     ops = payload.get("operators")
     vecs = payload.get("vectors")
     if not isinstance(ops, list) or not isinstance(vecs, list):
@@ -317,13 +302,13 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int) -> tuple[str, di
 
 
 _RUNNERS = {
-    "check": lambda payload, cfg, seed, kind: run_check(payload, cfg, seed),
+    "check": run_check,
     "extend": run_extend,
-    "complete": lambda payload, cfg, seed, kind: run_complete(payload, cfg, seed),
-    "kernel": lambda payload, cfg, seed, kind: run_kernel(payload, cfg, seed),
-    "functional": lambda payload, cfg, seed, kind: run_functional(payload, cfg, seed),
-    "commutation": lambda payload, cfg, seed, kind: run_commutation(payload, cfg, seed),
-    "schwarz": lambda payload, cfg, seed, kind: run_schwarz(payload, cfg, seed),
+    "complete": run_complete,
+    "kernel": run_kernel,
+    "functional": run_functional,
+    "commutation": run_commutation,
+    "schwarz": run_schwarz,
 }
 
 
@@ -392,6 +377,9 @@ def main(argv=None) -> int:
         cfg = _tolerances(args, data.get("tolerances"))
         seed = args.seed if args.seed is not None else int(data.get("seed", 0))
         status, result = _RUNNERS[command](payload, cfg, seed, kind)
+    except KeyError as exc:
+        _emit(_report("invalid_input", command, {}, [f"missing field {exc}"]), args.out)
+        return 1
     except (CliInputError, InvalidInput, ValueError) as exc:
         _emit(_report("invalid_input", command, {}, [str(exc)]), args.out)
         return 1

@@ -39,19 +39,19 @@ class NotPsd(InvalidInput):
     pass
 
 
-class RankDeficientDomain(InvalidInput):
-    pass
-
-
-class NonHermitianGram(InvalidInput):
-    pass
-
-
-class NonPsdGram(InvalidInput):
-    pass
-
-
 class InvalidOperator(InvalidInput):
+    """Partial operator fails validation; the subclass names the first failure."""
+
+
+class RankDeficientDomain(InvalidOperator):
+    pass
+
+
+class NonHermitianGram(InvalidOperator):
+    pass
+
+
+class NonPsdGram(InvalidOperator):
     pass
 
 

@@ -22,10 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numcore as nc
-from .errors import BoundTooSmall, NotHermitian, NotPsd, ShapeMismatch
+from .errors import BoundTooSmall, InvalidOperator, NotHermitian, NotPsd, ShapeMismatch
 from .kvn import KvnResult, krein_von_neumann
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, is_extendible
+from .partial_op import PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,8 @@ class CompletionReport:
     bound_constant:   the sharp M when finite, +inf otherwise
     a22_min:          minimal lower-right block A21 A11+ A21† (when solvable)
     completion:       assembled minimal positive completion (when solvable)
+    witness:          normalized direction certifying non-completability
+                      (when not solvable), as in ExtendibilityReport
     """
 
     completable: bool
@@ -53,6 +55,7 @@ class CompletionReport:
     bound_constant: float
     a22_min: np.ndarray | None
     completion: np.ndarray | None
+    witness: np.ndarray | None
 
 
 def _check_bound(
@@ -60,20 +63,19 @@ def _check_bound(
 ) -> KvnResult:
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
-    if nc.hermitian_residual(b) > cfg.cmp_tol * (1.0 + nc.fro(b)):
+    if not nc.is_hermitian(b, cfg):
         raise NotHermitian("bound is not Hermitian within tolerance")
     kvn_result = krein_von_neumann(p, cfg)
     gap = b - kvn_result.a_n
-    if not nc.is_psd(gap, cfg):
-        ev = np.linalg.eigvalsh(0.5 * (gap + gap.conj().T))
-        direction = np.linalg.eigh(0.5 * (gap + gap.conj().T))[1][:, 0]
+    gap = 0.5 * (gap + gap.conj().T)
+    ev = np.linalg.eigvalsh(gap)
+    if not nc.spectrum_is_psd(ev, cfg):
         raise BoundTooSmall(
             f"bound does not dominate the minimal extension "
             f"(violation {float(ev[0]):.3e} along a certificate direction)",
-            certificate=direction,
+            certificate=np.linalg.eigh(gap)[1][:, 0],
         )
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (gap + gap.conj().T)))) if p.n else 0.0
-    if min_eig < 0.0:
+    if ev.size and ev[0] < 0.0:
         warnings.warn(
             "bound dominates the minimal extension only within psd_tol; "
             "the interval endpoints are tolerance-marginal",
@@ -149,7 +151,9 @@ def _kernel_inclusion(a11: np.ndarray, a21: np.ndarray, cfg: ToleranceConfig) ->
     """ker A11 <= ker A21, tested on the sub-cutoff eigenvectors of A11.
 
     The cutoff is scaled against both blocks so an A11 that is pure
-    rounding noise next to A21 is treated as zero.
+    rounding noise next to A21 is treated as zero.  It scales with
+    ||A21|| rather than gram_spectrum's sigma(D) sigma(Ad) because this
+    criterion is evaluated on the blocks, independently of that spectrum.
     """
     eig = nc.hermitian_eigen(a11, cfg)
     top = float(np.max(eig.eigenvalues)) if eig.eigenvalues.size else 0.0
@@ -173,7 +177,8 @@ def halmos_complete(
     A11 PSD, a positive completion exists iff A21† A21 <= M A11 for some
     M iff ran A21† lies inside ran A11^{1/2}.  All three criteria are
     evaluated independently; the minimal completion fills the free block
-    with the shorted expression A21 A11+ A21†.
+    with the shorted expression A21 A11+ A21†, the lower-right block of
+    j j* for the column's partial operator, whose Gram matrix is exactly A11.
     """
     a11m = nc.as_matrix(a11, "A11")
     a21m = nc.as_matrix(a21, "A21")
@@ -183,15 +188,15 @@ def halmos_complete(
         raise ShapeMismatch(
             f"A21 must have {a11m.shape[0]} columns, got {a21m.shape[1]}"
         )
-    if not nc.is_psd(a11m, cfg):
-        raise NotPsd("A11 is not positive semidefinite within tolerance")
-
     k = a11m.shape[0]
-    n = k + a21m.shape[0]
-    domain = np.zeros((n, k), dtype=np.complex128)
+    domain = np.zeros((k + a21m.shape[0], k), dtype=np.complex128)
     domain[:k, :] = np.eye(k)
-    action = np.vstack([a11m, a21m])
-    completable = is_extendible(PartialOperator(domain, action), cfg).extendible
+    column = PartialOperator(domain, np.vstack([a11m, a21m]))
+    try:
+        # D has full rank, so only the Hermitian or PSD test on G = A11 can fail.
+        spec = gram_spectrum(column, cfg)
+    except InvalidOperator as exc:
+        raise NotPsd("A11 is not positive semidefinite within tolerance") from exc
 
     bounded = _kernel_inclusion(a11m, a21m, cfg)
     if bounded:
@@ -206,16 +211,18 @@ def halmos_complete(
 
     a22_min = None
     completion = None
-    if completable:
-        a22_min = a21m @ nc.pseudo_inverse(a11m, cfg) @ a21m.conj().T
+    if spec.extendible:
+        j_lower = spec.j[k:]  # A21 U Lam^{-1/2}, so j_lower j_lower† = A21 A11+ A21†
+        a22_min = j_lower @ j_lower.conj().T
         a22_min = 0.5 * (a22_min + a22_min.conj().T)
         completion = np.block([[a11m, a21m.conj().T], [a21m, a22_min]])
         completion = 0.5 * (completion + completion.conj().T)
     return CompletionReport(
-        completable=completable,
+        completable=spec.extendible,
         bounded=bounded,
         range_condition=range_condition,
         bound_constant=bound_constant,
         a22_min=a22_min,
         completion=completion,
+        witness=spec.witness,
     )

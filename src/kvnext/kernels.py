@@ -63,7 +63,7 @@ class KernelProblem:
             )
 
 
-def operator_from_kernel(kernel: Kernel, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
+def operator_from_kernel(kernel: Kernel) -> np.ndarray:
     """Assemble the block matrix of the kernel (block (t, s) is K(s, t))."""
     m, n = kernel.m, kernel.n
     out = np.zeros((m * n, m * n), dtype=np.complex128)
@@ -104,7 +104,7 @@ def block_symmetry_residual(kernel: Kernel) -> float:
 def is_positive_definite_kernel(
     kernel: Kernel, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    return nc.is_psd(operator_from_kernel(kernel, cfg), cfg)
+    return nc.is_psd(operator_from_kernel(kernel), cfg)
 
 
 def extend_kernel(problem: KernelProblem, cfg: ToleranceConfig = DEFAULT_TOL) -> Kernel:
@@ -124,5 +124,5 @@ def kernel_preceq(k: Kernel, l: Kernel, cfg: ToleranceConfig = DEFAULT_TOL) -> b
             f"kernels have different shapes: ({k.m}, {k.n}) vs ({l.m}, {l.n})"
         )
     return nc.loewner_leq(
-        operator_from_kernel(k, cfg), operator_from_kernel(l, cfg), cfg
+        operator_from_kernel(k), operator_from_kernel(l), cfg
     )

@@ -15,6 +15,12 @@ and the minimal extension is the composition a_n = j j* = Ad G+ Ad†.
 Minimality and the two closed-form expressions for the quadratic form
 ``<a_n y, y>`` are exposed as separate operations so they can be checked
 against each other and against brute-force maximization.
+
+Each operation factors G exactly once, through
+``partial_op.gram_spectrum``, and reads U_r, Lam_r, j and the
+extendibility verdict off that one spectrum.  The norm of a_n is the
+Hilbert bound, the top eigenvalue of the r x r matrix j† j, so no n x n
+eigensolve is needed.
 """
 
 from __future__ import annotations
@@ -23,15 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import numcore as nc
-from .errors import NotExtendible, ShapeMismatch
+from .errors import NotExtendible
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import (
-    ExtendibilityReport,
-    PartialOperator,
-    gram_spectrum,
-    is_extendible,
-)
+from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -40,7 +40,10 @@ class HAFactorization:
 
     r: int
     j_matrix: np.ndarray
-    j_star_matrix: np.ndarray
+
+    @property
+    def j_star_matrix(self) -> np.ndarray:
+        return self.j_matrix.conj().T
 
 
 @dataclass(frozen=True)
@@ -50,17 +53,15 @@ class KvnResult:
     norm: float
 
 
-def _require_extendible(
-    p: PartialOperator, cfg: ToleranceConfig
-) -> ExtendibilityReport:
-    report = is_extendible(p, cfg)
-    if not report.extendible:
+def _extendible_spectrum(p: PartialOperator, cfg: ToleranceConfig) -> GramSpectrum:
+    spec = gram_spectrum(p, cfg)
+    if not spec.extendible:
         raise NotExtendible(
             "no positive extension exists: the form vanishes along a direction "
             "the operator does not kill",
-            certificate=report.witness,
+            certificate=spec.witness,
         )
-    return report
+    return spec
 
 
 def ha_factorization(
@@ -72,12 +73,8 @@ def ha_factorization(
     product, and ``j_star_matrix @ D`` returns the H_A coordinates of the
     action, which is the defining identity J* x = A x on dom A.
     """
-    _require_extendible(p, cfg)
-    lam, u, _ = gram_spectrum(p, cfg)
-    j = p.action @ (u / np.sqrt(lam)) if lam.size else np.zeros(
-        (p.n, 0), dtype=np.complex128
-    )
-    return HAFactorization(r=lam.size, j_matrix=j, j_star_matrix=j.conj().T)
+    spec = _extendible_spectrum(p, cfg)
+    return HAFactorization(r=spec.r, j_matrix=spec.j)
 
 
 def krein_von_neumann(
@@ -89,24 +86,14 @@ def krein_von_neumann(
     and agrees with it within tolerance.  Every positive extension of the
     operator dominates a_n in the Loewner order.
     """
-    fact = ha_factorization(p, cfg)
-    lam, u, _ = gram_spectrum(p, cfg)
-    if lam.size == 0:
-        a_n = np.zeros((p.n, p.n), dtype=np.complex128)
-    else:
-        image = p.action @ u
-        a_n = (image / lam) @ image.conj().T
-        a_n = 0.5 * (a_n + a_n.conj().T)
-    ev = np.linalg.eigvalsh(a_n) if p.n else np.zeros(0)
-    norm = float(max(np.max(ev), 0.0)) if ev.size else 0.0
-    return KvnResult(a_n=a_n, factorization=fact, norm=norm)
-
-
-def _pairing_vector(p: PartialOperator, y) -> np.ndarray:
-    yv = nc.as_vector(y, "y")
-    if yv.size != p.n:
-        raise ShapeMismatch(f"y must have length {p.n}, got {yv.size}")
-    return p.action.conj().T @ yv
+    spec = _extendible_spectrum(p, cfg)
+    image = p.action @ spec.u
+    a_n = (image / spec.lam) @ image.conj().T
+    return KvnResult(
+        a_n=0.5 * (a_n + a_n.conj().T),
+        factorization=HAFactorization(r=spec.r, j_matrix=spec.j),
+        norm=spec.hilbert_bound(),
+    )
 
 
 def qform_sup(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -114,12 +101,7 @@ def qform_sup(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
 
     Equals the quadratic form ``<a_n y, y>`` of the minimal extension.
     """
-    _require_extendible(p, cfg)
-    v = _pairing_vector(p, y)
-    lam, u, _ = gram_spectrum(p, cfg)
-    if lam.size == 0:
-        return 0.0
-    return float(np.sum(np.abs(u.conj().T @ v) ** 2 / lam))
+    return _extendible_spectrum(p, cfg).form(p.adjoint_action(y))
 
 
 def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -129,13 +111,10 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
     there gives the same value as :func:`qform_sup`, through a different
     arithmetic path.
     """
-    report = _require_extendible(p, cfg)
-    v = _pairing_vector(p, y)
-    lam, u, _ = gram_spectrum(p, cfg)
-    if lam.size == 0:
-        return 0.0
-    c = u @ ((u.conj().T @ v) / lam)
-    return float(2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ report.gram @ c))
+    spec = _extendible_spectrum(p, cfg)
+    v = p.adjoint_action(y)
+    c = spec.u @ ((spec.u.conj().T @ v) / spec.lam)
+    return float(2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ spec.gram @ c))
 
 
 def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

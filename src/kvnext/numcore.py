@@ -7,9 +7,12 @@ Conventions used across the package:
   ``pairing(f, x) = sum_i f[i] * conj(x[i])`` (linear in ``f``, conjugate
   linear in ``x``), so adjoints are plain conjugate transposes.
 * Rank decisions are relative: an eigenvalue counts as nonzero when it
-  exceeds ``rank_rel_eps`` times the largest eigenvalue.
+  exceeds ``rank_rel_eps`` times the largest eigenvalue
+  (:func:`numerical_rank`).  Gram matrices of partial operators scale the
+  cutoff by the data instead; see ``partial_op.gram_spectrum``.
 * Positivity tolerates eigenvalues down to ``-psd_tol * (1 + max|eig|)``
-  to absorb eigensolver noise on exactly singular inputs.
+  to absorb eigensolver noise on exactly singular inputs
+  (:func:`spectrum_is_psd`).
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -98,6 +101,13 @@ def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return hermitian_residual(a) <= cfg.cmp_tol * (1.0 + fro(a))
 
 
+def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether eigenvalues ``w`` pass min w >= -psd_tol * (1 + max|w|)."""
+    if w.size == 0:
+        return True
+    return float(np.min(w)) >= -cfg.psd_tol * (1.0 + float(np.max(np.abs(w))))
+
+
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -106,8 +116,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     exceeds ``cmp_tol`` relative are rejected.
     """
     a = as_matrix(m)
-    _require_square(a, "matrix")
-    if hermitian_residual(a) > cfg.cmp_tol * (1.0 + fro(a)):
+    if not is_hermitian(a, cfg):
         raise NotHermitian(
             f"symmetry residual {hermitian_residual(a):.3e} exceeds tolerance"
         )
@@ -147,14 +156,9 @@ def positive_spectrum(
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Hermitian within cmp_tol and spectrum above -psd_tol * (1 + max|eig|)."""
     a = as_matrix(m)
-    _require_square(a, "matrix")
-    if a.shape[0] == 0:
-        return True
-    if hermitian_residual(a) > cfg.cmp_tol * (1.0 + fro(a)):
+    if not is_hermitian(a, cfg):
         return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    scale = 1.0 + float(np.max(np.abs(w)))
-    return float(np.min(w)) >= -cfg.psd_tol * scale
+    return spectrum_is_psd(np.linalg.eigvalsh(0.5 * (a + a.conj().T)), cfg)
 
 
 def _require_psd(m: np.ndarray, cfg: ToleranceConfig, name: str) -> None:
@@ -189,8 +193,7 @@ def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     _require_psd(a, cfg, "matrix")
     eig = hermitian_eigen(a, cfg)
     w = np.clip(eig.eigenvalues, 0.0, None)
-    if w.size:
-        w[w <= cfg.rank_rel_eps * float(np.max(w))] = 0.0
+    w[: w.size - numerical_rank(eig.eigenvalues, cfg)] = 0.0
     s = (eig.eigenvectors * np.sqrt(w)) @ eig.eigenvectors.conj().T
     return 0.5 * (s + s.conj().T)
 
@@ -233,6 +236,7 @@ def range_projector(y, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     top = float(np.max(eig.eigenvalues)) if eig.eigenvalues.size else 0.0
     if top <= 0.0:
         return np.zeros((ym.shape[0], ym.shape[0]), dtype=np.complex128)
+    # Squared, not numerical_rank's cutoff: these eigenvalues are sigma(Y)^2.
     rel = max(cfg.rank_rel_eps**2, 64.0 * float(np.finfo(np.float64).eps))
     keep = eig.eigenvalues > rel * top
     u = eig.eigenvectors[:, keep]

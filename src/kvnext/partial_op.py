@@ -13,6 +13,12 @@ contained in the kernel of Ad, equivalently iff the Hilbert bound
 
 is finite.  Both criteria are implemented, along with the per-direction
 constant M_y of the quadratic characterization.
+
+Every construction in the package reads one :class:`GramSpectrum`: a
+single pass of :func:`gram_spectrum` validates the operator (the SVD
+rank test on D, then the Hermitian and PSD tests on G), eigendecomposes
+G once, splits its spectrum at the data-scale cutoff, and derives the
+embedding J and the extendibility witness from that split.
 """
 
 from __future__ import annotations
@@ -24,7 +30,6 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import (
-    InvalidOperator,
     NonHermitianGram,
     NonPsdGram,
     RankDeficientDomain,
@@ -68,6 +73,13 @@ class PartialOperator:
         """G = D† Ad, the form <A x, x'> in domain coordinates."""
         return self.domain_basis.conj().T @ self.action
 
+    def adjoint_action(self, y) -> np.ndarray:
+        """v = Ad† y, so that <A D c, y> = v† c for domain coefficients c."""
+        yv = nc.as_vector(y, "y")
+        if yv.size != self.n:
+            raise ShapeMismatch(f"y must have length {self.n}, got {yv.size}")
+        return self.action.conj().T @ yv
+
 
 def full_domain(matrix) -> PartialOperator:
     """Everywhere-defined operator: domain basis is the identity."""
@@ -107,77 +119,117 @@ class ExtendibilityReport:
     witness: np.ndarray | None = field(default=None)
 
 
-def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
-    """Check full column rank of D, Hermitianness and positivity of G."""
+def _validated(
+    p: PartialOperator, cfg: ToleranceConfig
+) -> tuple[ValidationReport, float, nc.HermitianEigen | None]:
+    """The one validation pass, plus what it computed along the way.
+
+    Returns the report, sigma_max(D) from the rank test's SVD, and the
+    eigendecomposition of G whose eigenvalues the PSD test read (None
+    when G is not Hermitian).
+    """
     failures = []
     g = p.gram()
-    if p.d > 0:
-        sv = np.linalg.svd(p.domain_basis, compute_uv=False)
-        if np.min(sv) <= cfg.rank_rel_eps * np.max(sv):
-            failures.append("rank_deficient_domain")
-        if nc.hermitian_residual(g) > cfg.cmp_tol * (1.0 + nc.fro(g)):
-            failures.append("non_hermitian_gram")
-        elif not nc.is_psd(g, cfg):
+    # Singular values of D itself, so the relative cutoff is not squared.
+    sv = np.linalg.svd(p.domain_basis, compute_uv=False)
+    sigma_max = float(np.max(sv, initial=0.0))
+    if sv.size and np.min(sv) <= cfg.rank_rel_eps * sigma_max:
+        failures.append("rank_deficient_domain")
+    eig = None
+    if not nc.is_hermitian(g, cfg):
+        failures.append("non_hermitian_gram")
+    else:
+        eig = nc.hermitian_eigen(g, cfg)
+        if not nc.spectrum_is_psd(eig.eigenvalues, cfg):
             failures.append("non_psd_gram")
-    return ValidationReport(ok=not failures, failures=tuple(failures), gram=g)
+    report = ValidationReport(ok=not failures, failures=tuple(failures), gram=g)
+    return report, sigma_max, eig
 
 
-def _ensure_valid(p: PartialOperator, cfg: ToleranceConfig) -> ValidationReport:
-    report = validate(p, cfg)
-    if not report.ok:
-        raise InvalidOperator(
-            f"partial operator invalid: {', '.join(report.failures)}"
-        )
-    return report
+def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
+    """Check full column rank of D, Hermitianness and positivity of G."""
+    return _validated(p, cfg)[0]
+
+
+@dataclass(frozen=True)
+class GramSpectrum:
+    """One validated factorization of G = D† Ad, split at the rank cutoff.
+
+    lam, u:   kept eigenvalues of G (descending) and their eigenvectors
+    kernel:   eigenvectors of the eigenvalues at or below the cutoff
+    j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r)
+    witness:  normalized image Ad v of the kernel direction v that Ad
+              moves most, when that exceeds cmp_tol; None otherwise
+    """
+
+    op: PartialOperator
+    cfg: ToleranceConfig
+    gram: np.ndarray
+    lam: np.ndarray
+    u: np.ndarray
+    kernel: np.ndarray
+    j: np.ndarray
+    witness: np.ndarray | None
+
+    @property
+    def r(self) -> int:
+        return self.lam.size
+
+    @property
+    def extendible(self) -> bool:
+        """ker G <= ker Ad, i.e. no kernel direction has a visible image."""
+        return self.witness is None
+
+    def hilbert_bound(self) -> float:
+        """Largest eigenvalue of the r x r matrix j† j, or +inf."""
+        if not self.extendible:
+            return math.inf
+        if self.r == 0:
+            return 0.0
+        ev = np.linalg.eigvalsh(self.j.conj().T @ self.j)
+        return float(max(np.max(ev), 0.0))
+
+    def form(self, v) -> float:
+        """v† G+ v for a domain coefficient vector v; +inf when v is not in ran G."""
+        coords = self.u.conj().T @ v
+        if np.linalg.norm(v - self.u @ coords) > self.cfg.cmp_tol * (
+            1.0 + np.linalg.norm(v)
+        ):
+            return math.inf
+        return float(np.sum(np.abs(coords) ** 2 / self.lam))
 
 
 def gram_spectrum(
     p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Spectral data of G at the data-consistent rank cutoff.
+) -> GramSpectrum:
+    """Validate ``p`` and factor its Gram matrix, in one pass.
 
     A Gram eigenvalue counts as zero when it falls below rank_rel_eps
     times max(largest eigenvalue, sigma_max(D) * sigma_max(Ad)); the
     second term keeps a Gram that is pure rounding noise relative to the
-    data from looking full rank against itself.
+    data from looking full rank against itself.  The operator is
+    extendible exactly when Ad maps every sub-cutoff eigenvector to
+    within cmp_tol of zero.
 
-    Returns (kept eigenvalues descending, their eigenvectors, kernel
-    eigenvectors).
+    Raises the :class:`InvalidOperator` subclass naming the first
+    validation failure.
     """
-    g = p.gram()
-    if p.d == 0:
-        empty = np.zeros((0, 0), dtype=np.complex128)
-        return np.zeros(0), empty, empty
-    eig = nc.hermitian_eigen(g, cfg)
-    top = max(float(np.max(eig.eigenvalues)), 0.0)
-    data_scale = float(
-        np.linalg.norm(p.domain_basis, 2) * np.linalg.norm(p.action, 2)
-    )
-    cutoff = cfg.rank_rel_eps * max(top, data_scale)
-    keep = eig.eigenvalues > cutoff
+    report, sigma_d, eig = _validated(p, cfg)
+    report.raise_if_invalid()
+    top = float(np.max(eig.eigenvalues, initial=0.0))
+    data_scale = sigma_d * float(np.linalg.norm(p.action, 2))
+    keep = eig.eigenvalues > cfg.rank_rel_eps * max(top, data_scale)
     lam = eig.eigenvalues[keep][::-1].copy()
-    vecs = eig.eigenvectors[:, keep][:, ::-1].copy()
+    u = eig.eigenvectors[:, keep][:, ::-1].copy()
     kernel = eig.eigenvectors[:, ~keep].copy()
-    return lam, vecs, kernel
-
-
-def _kernel_violation(
-    p: PartialOperator, cfg: ToleranceConfig
-) -> np.ndarray | None:
-    """A domain coefficient vector v with G v ~ 0 but Ad v != 0, if any."""
-    if p.d == 0:
-        return None
-    _, _, kernel = gram_spectrum(p, cfg)
-    tol = cfg.cmp_tol * (1.0 + nc.fro(p.action))
-    worst = None
-    worst_norm = tol
-    for i in range(kernel.shape[1]):
-        v = kernel[:, i]
-        image_norm = float(np.linalg.norm(p.action @ v))
-        if image_norm > worst_norm:
-            worst = v
-            worst_norm = image_norm
-    return worst
+    images = p.action @ kernel
+    image_norms = np.linalg.norm(images, axis=0)
+    witness = None
+    if np.max(image_norms, initial=0.0) > cfg.cmp_tol * (1.0 + nc.fro(p.action)):
+        y = images[:, int(np.argmax(image_norms))]
+        witness = y / np.linalg.norm(y)
+    j = p.action @ (u / np.sqrt(lam))
+    return GramSpectrum(p, cfg, report.gram, lam, u, kernel, j, witness)
 
 
 def is_extendible(
@@ -189,35 +241,18 @@ def is_extendible(
     a violating kernel direction, normalized): ``<A x, x> = 0`` while
     ``<A x, y> != 0`` along that direction, so no constant M_y works.
     """
-    report = _ensure_valid(p, cfg)
-    g = report.gram
-    bad = _kernel_violation(p, cfg)
-    if bad is not None:
-        y = p.action @ bad
-        y = y / np.linalg.norm(y)
-        return ExtendibilityReport(
-            extendible=False, gram=g, hilbert_bound=math.inf, witness=y
-        )
+    spec = gram_spectrum(p, cfg)
     return ExtendibilityReport(
-        extendible=True, gram=g, hilbert_bound=_finite_bound(p, cfg), witness=None
+        extendible=spec.extendible,
+        gram=spec.gram,
+        hilbert_bound=spec.hilbert_bound(),
+        witness=spec.witness,
     )
-
-
-def _finite_bound(p: PartialOperator, cfg: ToleranceConfig) -> float:
-    lam, u, _ = gram_spectrum(p, cfg)
-    if lam.size == 0:
-        return 0.0
-    scaled = p.action @ (u / np.sqrt(lam))
-    ev = np.linalg.eigvalsh(scaled.conj().T @ scaled)
-    return float(max(np.max(ev), 0.0)) if ev.size else 0.0
 
 
 def hilbert_bound(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Largest eigenvalue of G^{+1/2} (Ad† Ad) G^{+1/2} on ran G, or +inf."""
-    _ensure_valid(p, cfg)
-    if _kernel_violation(p, cfg) is not None:
-        return math.inf
-    return _finite_bound(p, cfg)
+    return gram_spectrum(p, cfg).hilbert_bound()
 
 
 def my_constant(
@@ -228,15 +263,4 @@ def my_constant(
     Closed form: with v = Ad† y, M_y = v† G+ v when v lies in ran G and
     +inf otherwise.
     """
-    _ensure_valid(p, cfg)
-    yv = nc.as_vector(y, "y")
-    if yv.size != p.n:
-        raise ShapeMismatch(f"y must have length {p.n}, got {yv.size}")
-    if p.d == 0:
-        return 0.0
-    v = p.action.conj().T @ yv
-    lam, u, _ = gram_spectrum(p, cfg)
-    coords = u.conj().T @ v
-    if np.linalg.norm(v - u @ coords) > cfg.cmp_tol * (1.0 + np.linalg.norm(v)):
-        return math.inf
-    return float(np.sum(np.abs(coords) ** 2 / lam)) if lam.size else 0.0
+    return gram_spectrum(p, cfg).form(p.adjoint_action(y))

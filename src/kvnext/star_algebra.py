@@ -47,7 +47,7 @@ from .errors import (
 )
 from .kvn import krein_von_neumann
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, gram_spectrum, validate
+from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 _ALGEBRA_FAILURES = {
     "associativity": AssociativityFail,
@@ -253,6 +253,13 @@ def induced_operator(
     Its Gram matrix collects the form values f(a_i* a_j); Hermitianness
     and positivity of that Gram are exactly positivity of f on the ideal.
     """
+    return _induced_spectrum(algebra, ideal, f, cfg).op
+
+
+def _induced_spectrum(
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig
+) -> GramSpectrum:
+    """The induced operator, validated and factored once."""
     validate_algebra(algebra, ideal, cfg).raise_if_invalid()
     w = _checked_values(ideal, f)
     m = algebra.m
@@ -262,9 +269,7 @@ def induced_operator(
         for k in range(m):
             prod = algebra.multiply(algebra.star(basis[:, k]), ideal.basis[:, j])
             action[k, j] = np.dot(_ideal_coords(ideal, prod, cfg), w)
-    op = PartialOperator(ideal.basis, action)
-    validate(op, cfg).raise_if_invalid()
-    return op
+    return gram_spectrum(PartialOperator(ideal.basis, action), cfg)
 
 
 def _ideal_left_mult(
@@ -285,17 +290,12 @@ def is_hilbert_bounded(
     cfg: ToleranceConfig = DEFAULT_TOL,
 ) -> HilbertBoundReport:
     """Sharp constant in |f(a)|^2 <= M f(a* a), +inf when there is none."""
-    op = induced_operator(algebra, ideal, f, cfg)
-    w = _checked_values(ideal, f)
-    if ideal.p == 0:
-        return HilbertBoundReport(bounded=True, constant=0.0)
-    v = np.conj(w)
-    lam, u, _ = gram_spectrum(op, cfg)
-    coords = u.conj().T @ v
-    if np.linalg.norm(v - u @ coords) > cfg.cmp_tol * (1.0 + np.linalg.norm(v)):
-        return HilbertBoundReport(bounded=False, constant=math.inf)
-    constant = float(np.sum(np.abs(coords) ** 2 / lam)) if lam.size else 0.0
-    return HilbertBoundReport(bounded=True, constant=max(constant, 0.0))
+    return _hilbert_report(_induced_spectrum(algebra, ideal, f, cfg), ideal, f)
+
+
+def _hilbert_report(spec: GramSpectrum, ideal: LeftIdeal, f) -> HilbertBoundReport:
+    constant = spec.form(np.conj(_checked_values(ideal, f)))
+    return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
 
 
 def is_admissible(
@@ -310,13 +310,17 @@ def is_admissible(
     x in the basis bounds f(a* x* x a) by a fixed combination of the
     basis constants, so existence for all x follows.
     """
-    op = induced_operator(algebra, ideal, f, cfg)
+    return _admissibility(algebra, ideal, _induced_spectrum(algebra, ideal, f, cfg))
+
+
+def _admissibility(
+    algebra: StarAlgebra, ideal: LeftIdeal, spec: GramSpectrum
+) -> AdmissibilityReport:
     m = algebra.m
     if ideal.p == 0:
         return AdmissibilityReport(admissible=True, lambdas=np.zeros(m))
-    g = op.gram()
-    lam, u, kernel = gram_spectrum(op, cfg)
-    root_inv = (u / np.sqrt(lam)) if lam.size else np.zeros_like(u)
+    cfg, g, kernel = spec.cfg, spec.gram, spec.kernel
+    root_inv = spec.u / np.sqrt(spec.lam)
     basis = np.eye(m, dtype=np.complex128)
     lambdas = np.zeros(m)
     admissible = True
@@ -354,36 +358,28 @@ def gns(
     pi pushes left multiplication through that coordinate map, and zeta
     represents f itself on the embedded ideal.
     """
-    hb = is_hilbert_bounded(algebra, ideal, f, cfg)
-    if not hb.bounded:
+    spec = _induced_spectrum(algebra, ideal, f, cfg)
+    if not _hilbert_report(spec, ideal, f).bounded:
         raise NotHilbertBounded(
             "functional is not dominated by its quadratic form on the ideal"
         )
-    adm = is_admissible(algebra, ideal, f, cfg)
+    adm = _admissibility(algebra, ideal, spec)
     if not adm.admissible:
         raise NotAdmissible(
             "left multiplication does not descend to the auxiliary space",
             certificate=adm.lambdas,
         )
-    op = induced_operator(algebra, ideal, f, cfg)
-    w = _checked_values(ideal, f)
-    g = op.gram()
-    lam, u, _ = gram_spectrum(op, cfg)
-    r = lam.size
-    if r == 0:
-        coord = np.zeros((0, ideal.p), dtype=np.complex128)
-        rep = np.zeros((ideal.p, 0), dtype=np.complex128)
-    else:
-        coord = np.sqrt(lam)[:, None] * u.conj().T
-        rep = u / np.sqrt(lam)
+    coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
+    rep = spec.u / np.sqrt(spec.lam)
     basis = np.eye(algebra.m, dtype=np.complex128)
     pi = tuple(
         coord @ _ideal_left_mult(algebra, ideal, basis[:, i], cfg) @ rep
         for i in range(algebra.m)
     )
-    zeta = rep.conj().T @ np.conj(w)
-    j_star_full = rep.conj().T @ op.action.conj().T
-    return GnsData(r=r, gram=g, pi=pi, zeta=zeta, j_star_full=j_star_full)
+    zeta = rep.conj().T @ np.conj(_checked_values(ideal, f))
+    return GnsData(
+        r=spec.r, gram=spec.gram, pi=pi, zeta=zeta, j_star_full=spec.j.conj().T
+    )
 
 
 def extend_functional(
@@ -428,15 +424,15 @@ def extend_functional_unital(
     """
     if algebra.unit is None:
         raise NoUnit("algebra has no unit")
-    adm = is_admissible(algebra, ideal, f, cfg)
+    spec = _induced_spectrum(algebra, ideal, f, cfg)
+    adm = _admissibility(algebra, ideal, spec)
     if not adm.admissible:
         raise NotAdmissible(
             "left multiplication does not descend to the auxiliary space",
             certificate=adm.lambdas,
         )
-    op = induced_operator(algebra, ideal, f, cfg)
     try:
-        a_n = krein_von_neumann(op, cfg).a_n
+        a_n = krein_von_neumann(spec.op, cfg).a_n
     except NotExtendible as exc:
         raise NotHilbertBounded(
             "functional is not Hilbert bounded despite admissibility"

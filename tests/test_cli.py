@@ -188,6 +188,38 @@ def test_missing_file_and_bad_schema(tmp_path):
         json.dumps({"schema_version": "1", "kind": "schwarz_problem", "payload": {}})
     )
     assert cli.main(["check", str(wrong_kind), "--out", str(out)]) == 1
+    # JSON true is not the number 1
+    boolean = json.loads((FIXTURES / "check_running2.json").read_text())
+    boolean["payload"]["action"][0][0] = True
+    bool_path = tmp_path / "bool.json"
+    bool_path.write_text(json.dumps(boolean))
+    assert cli.main(["check", str(bool_path), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["status"] == "invalid_input"
+
+
+@pytest.mark.parametrize(
+    "name, path",
+    [
+        ("complete_identity", ("a11",)),
+        ("extend_bounded_3i", ("bound",)),
+        ("commutation_diag", ("b",)),
+        ("commutation_diag", ("c",)),
+        ("extend_bounded_3i", ("partial_operator", "dim")),
+    ],
+)
+def test_missing_field_is_invalid_input(name, path, tmp_path):
+    problem = json.loads((FIXTURES / f"{name}.json").read_text())
+    holder = problem["payload"]
+    for key in path[:-1]:
+        holder = holder[key]
+    del holder[path[-1]]
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main([CORPUS[name][0], str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "invalid_input"
+    assert report["diagnostics"] == [f"missing field {path[-1]!r}"]
 
 
 def test_stdout_when_no_out_flag(capsys):

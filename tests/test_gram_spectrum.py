@@ -1,0 +1,111 @@
+import collections
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kvnext import (
+    PartialOperator,
+    gram_spectrum,
+    in_interval,
+    is_extendible,
+    krein_von_neumann,
+    qform_sup,
+)
+from kvnext import numcore as nc
+from kvnext.errors import InvalidOperator, NonPsdGram, NotExtendible
+from util_gen import orthonormal_columns, random_partial, random_psd, random_vector, rng_for
+
+E1 = np.array([[1.0], [0.0]], dtype=complex)
+RUN2 = PartialOperator(E1, np.array([[1.0], [1.0]], dtype=complex))
+HALMOS = PartialOperator(E1, np.array([[0.0], [1.0]], dtype=complex))
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts calls of the numpy.linalg eigensolvers and SVD."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "svd"):
+        fn = getattr(np.linalg, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_each_construction_factors_the_gram_once(lapack_calls):
+    rng = rng_for(2024)
+    t = random_psd(rng, 8)
+    basis = orthonormal_columns(rng, 8, 4)
+    p = PartialOperator(basis, t @ basis)
+    bound = t + np.eye(8)
+
+    lapack_calls.clear()
+    krein_von_neumann(p)
+    assert (lapack_calls["eigh"], lapack_calls["eigvalsh"], lapack_calls["svd"]) == (1, 1, 1)
+
+    lapack_calls.clear()
+    assert in_interval(p, bound, t)
+    assert lapack_calls["eigh"] <= 2
+    assert lapack_calls["eigvalsh"] <= 5
+    assert lapack_calls["svd"] <= 2
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["extendible", "violating"]))
+def test_domain_basis_change_leaves_a_n_and_verdict(seed, force):
+    rng = rng_for(seed)
+    p = random_partial(rng, force=force)
+    d = p.d
+    s = np.eye(d) + 0.3 * (
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    ) / np.sqrt(max(d, 1))
+    q = PartialOperator(p.domain_basis @ s, p.action @ s)
+    assert is_extendible(q).extendible == is_extendible(p).extendible == (force == "extendible")
+    if force == "extendible":
+        a_p = krein_von_neumann(p).a_n
+        a_q = krein_von_neumann(q).a_n
+        assert nc.fro(a_q - a_p) <= nc.DEFAULT_TOL.cmp_tol * (1.0 + nc.fro(a_p))
+
+
+def test_spectrum_of_the_running_example():
+    spec = gram_spectrum(RUN2)
+    assert spec.extendible and spec.witness is None and spec.r == 1
+    assert np.allclose(spec.j, [[1.0], [1.0]])
+    assert spec.hilbert_bound() == pytest.approx(2.0, abs=1e-12)
+    assert spec.hilbert_bound() == krein_von_neumann(RUN2).norm
+    assert spec.form(np.array([1.0])) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_form_is_infinite_off_the_range_of_g():
+    spec = gram_spectrum(HALMOS)
+    assert not spec.extendible and spec.r == 0
+    assert math.isinf(spec.hilbert_bound())
+    assert spec.form(np.array([1.0])) == math.inf
+    assert spec.form(np.array([0.0])) == 0.0
+    with pytest.raises(NotExtendible) as info:
+        qform_sup(HALMOS, np.array([0.0, 1.0]))
+    assert np.array_equal(info.value.certificate, spec.witness)
+
+
+def test_form_matches_the_pseudo_inverse():
+    rng = rng_for(606)
+    for _ in range(10):
+        p = random_partial(rng, force="extendible")
+        spec = gram_spectrum(p)
+        v = p.action.conj().T @ random_vector(rng, p.n)
+        direct = float(np.real(np.vdot(v, nc.pseudo_inverse(p.gram()) @ v)))
+        assert spec.form(v) == pytest.approx(direct, rel=1e-8, abs=1e-10)
+
+
+def test_validation_errors_are_invalid_operators():
+    bad = PartialOperator(E1, np.array([[-1.0], [0.0]], dtype=complex))
+    with pytest.raises(NonPsdGram, match="partial operator invalid: non_psd_gram"):
+        gram_spectrum(bad)
+    with pytest.raises(InvalidOperator):
+        gram_spectrum(bad)
