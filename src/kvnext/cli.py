@@ -232,11 +232,11 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
         invol=invol,
         unit=None if unit is None else vector_in(unit, "payload.unit"),
     )
-    ideal = star_algebra.LeftIdeal(ideal_basis)
-    star_algebra.validate_algebra(algebra, ideal, cfg).raise_if_invalid()
-
-    hb = star_algebra.is_hilbert_bounded(algebra, ideal, values, cfg)
-    adm = star_algebra.is_admissible(algebra, ideal, values, cfg)
+    problem = star_algebra._Problem.validated(
+        algebra, star_algebra.LeftIdeal(ideal_basis), cfg
+    )
+    hb = problem.hilbert(values)
+    adm = problem.admissibility(values)
     result = {
         "hilbert_bounded": hb.bounded,
         "hilbert_bound": ext_real_out(hb.constant),
@@ -248,18 +248,14 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
             "not Hilbert bounded" if not hb.bounded else "not admissible"
         )
         return "not_extendible", result
-    data = star_algebra.gns(algebra, ideal, values, cfg)
-    f_n = star_algebra.extend_functional(algebra, ideal, values, cfg)
-    result["rank"] = data.r
-    result["f_n"] = vector_out(f_n)
+    result["rank"] = problem.spectrum(values).r
+    result["f_n"] = vector_out(problem.extend(values))
     if algebra.unit is not None:
-        result["f_n_unital"] = vector_out(
-            star_algebra.extend_functional_unital(algebra, ideal, values, cfg)
-        )
+        result["f_n_unital"] = vector_out(problem.extend_unital(values))
     bound_values = payload.get("bound_functional")
     if bound_values is not None:
         g = vector_in(bound_values, "payload.bound_functional")
-        result["f_max"] = vector_out(star_algebra.f_max(algebra, ideal, values, g, cfg))
+        result["f_max"] = vector_out(problem.f_max(values, g))
     return "ok", result
 
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
-from .kvn import krein_von_neumann
+from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, validate
+from .partial_op import PartialOperator, gram_spectrum, validate
 
 
 @dataclass(frozen=True)
@@ -37,7 +37,7 @@ class CommutationReport:
 def _hypothesis_status(
     p: PartialOperator, b: np.ndarray, c: np.ndarray, cfg: ToleranceConfig
 ) -> tuple[bool, str]:
-    validate(p, cfg).raise_if_invalid()
+    """Invariance and intertwining on the domain of an already validated ``p``."""
     if b.shape != (p.n, p.n) or c.shape != (p.n, p.n):
         raise ShapeMismatch(
             f"B and C must be {p.n} x {p.n}, got {b.shape} and {c.shape}"
@@ -66,6 +66,7 @@ def check_intertwining(
     """Whether B, C leave dom A invariant and intertwine with A on it."""
     bm = nc.as_matrix(b, "B")
     cm = nc.as_matrix(c, "C")
+    validate(p, cfg).raise_if_invalid()
     ok, _ = _hypothesis_status(p, bm, cm, cfg)
     return ok
 
@@ -81,12 +82,13 @@ def verify_commutation(
     """
     bm = nc.as_matrix(b, "B")
     cm = nc.as_matrix(c, "C")
+    spec = gram_spectrum(p, cfg)
     ok, reason = _hypothesis_status(p, bm, cm, cfg)
     if not ok:
         if reason.startswith("invariance"):
             raise DomainNotInvariant(reason)
         raise HypothesesFail(reason)
-    a_n = krein_von_neumann(p, cfg).a_n
+    a_n = _minimal_extension(spec)
     residual_cb = nc.fro(cm.conj().T @ a_n - a_n @ bm)
     residual_bc = nc.fro(bm.conj().T @ a_n - a_n @ cm)
     tol = cfg.cmp_tol * (1.0 + nc.fro(a_n) * max(nc.fro(bm), nc.fro(cm)))

@@ -53,8 +53,8 @@ class KvnResult:
     norm: float
 
 
-def _extendible_spectrum(p: PartialOperator, cfg: ToleranceConfig) -> GramSpectrum:
-    spec = gram_spectrum(p, cfg)
+def _extendible(spec: GramSpectrum) -> GramSpectrum:
+    """``spec`` itself, or NotExtendible carrying its witness."""
     if not spec.extendible:
         raise NotExtendible(
             "no positive extension exists: the form vanishes along a direction "
@@ -62,6 +62,13 @@ def _extendible_spectrum(p: PartialOperator, cfg: ToleranceConfig) -> GramSpectr
             certificate=spec.witness,
         )
     return spec
+
+
+def _minimal_extension(spec: GramSpectrum) -> np.ndarray:
+    """a_n = Ad G+ Ad†, read off a spectrum the caller already holds."""
+    image = _extendible(spec).op.action @ spec.u
+    a_n = (image / spec.lam) @ image.conj().T
+    return 0.5 * (a_n + a_n.conj().T)
 
 
 def ha_factorization(
@@ -73,7 +80,7 @@ def ha_factorization(
     product, and ``j_star_matrix @ D`` returns the H_A coordinates of the
     action, which is the defining identity J* x = A x on dom A.
     """
-    spec = _extendible_spectrum(p, cfg)
+    spec = _extendible(gram_spectrum(p, cfg))
     return HAFactorization(r=spec.r, j_matrix=spec.j)
 
 
@@ -86,11 +93,9 @@ def krein_von_neumann(
     and agrees with it within tolerance.  Every positive extension of the
     operator dominates a_n in the Loewner order.
     """
-    spec = _extendible_spectrum(p, cfg)
-    image = p.action @ spec.u
-    a_n = (image / spec.lam) @ image.conj().T
+    spec = gram_spectrum(p, cfg)
     return KvnResult(
-        a_n=0.5 * (a_n + a_n.conj().T),
+        a_n=_minimal_extension(spec),
         factorization=HAFactorization(r=spec.r, j_matrix=spec.j),
         norm=spec.hilbert_bound(),
     )
@@ -101,7 +106,7 @@ def qform_sup(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
 
     Equals the quadratic form ``<a_n y, y>`` of the minimal extension.
     """
-    return _extendible_spectrum(p, cfg).form(p.adjoint_action(y))
+    return _extendible(gram_spectrum(p, cfg)).form(p.adjoint_action(y))
 
 
 def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -111,7 +116,7 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
     there gives the same value as :func:`qform_sup`, through a different
     arithmetic path.
     """
-    spec = _extendible_spectrum(p, cfg)
+    spec = _extendible(gram_spectrum(p, cfg))
     v = p.adjoint_action(y)
     c = spec.u @ ((spec.u.conj().T @ v) / spec.lam)
     return float(2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ spec.gram @ c))

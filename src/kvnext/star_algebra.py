@@ -19,12 +19,18 @@ candidate vector zeta with f(a) = <class of A a, zeta>, and the formulas
 The extensions dominated by a representable functional g form an order
 interval [f_N, f_max] with f_max = g - minimal_extension(g - f), in
 exact parallel with the operator picture.
+
+Everything runs on the regular representation.  One validation of the
+algebra and ideal solves once for the ideal coordinates of every product
+b_i a_l; the resulting stack L[i] of ideal-coordinate matrices of
+a -> b_i a yields the induced action, the admissibility constants and
+pi, and each functional's Gram form is factored once.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,7 +51,7 @@ from .errors import (
     ShapeMismatch,
     UnitFail,
 )
-from .kvn import krein_von_neumann
+from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
 from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
@@ -118,8 +124,12 @@ def whole_algebra_ideal(algebra: StarAlgebra) -> LeftIdeal:
 
 @dataclass(frozen=True)
 class AlgebraValidation:
+    """Failure names in check order; ``left_mult[i]`` is the ideal-coordinate
+    matrix of a -> b_i a (m x p x p), None unless the ideal is closed."""
+
     ok: bool
     failures: tuple[str, ...]
+    left_mult: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def raise_if_invalid(self) -> None:
         if not self.ok:
@@ -156,153 +166,273 @@ class GnsData:
     j_star_full: np.ndarray
 
 
-def _ideal_coords(ideal: LeftIdeal, vec: np.ndarray, cfg: ToleranceConfig) -> np.ndarray:
-    """Coefficients of an algebra element in the ideal basis (must lie in it)."""
-    if ideal.p == 0:
-        if np.linalg.norm(vec) > cfg.cmp_tol:
-            raise IdealNotClosed("element outside the zero ideal")
-        return np.zeros(0, dtype=np.complex128)
-    c, *_ = np.linalg.lstsq(ideal.basis, vec.reshape(-1, 1), rcond=None)
-    c = c.reshape(-1)
-    if np.linalg.norm(ideal.basis @ c - vec) > cfg.cmp_tol * (
-        1.0 + np.linalg.norm(vec)
-    ):
-        raise IdealNotClosed("element does not lie in the ideal within tolerance")
-    return c
+# Entries of (b_i b_j) b_k formed at once: associativity is checked for a
+# block of i at a time, so peak memory stays O(m^3).
+_ASSOC_BLOCK = 1 << 16
+
+
+def _rows_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
+    """||x - y|| <= tol (1 + ||x|| + ||y||) for every row along the last axis."""
+    norm = np.linalg.norm
+    return bool(
+        np.all(norm(x - y, axis=-1) <= tol * (1.0 + norm(x, axis=-1) + norm(y, axis=-1)))
+    )
+
+
+def _associative(mult: np.ndarray, tol: float) -> bool:
+    """(b_i b_j) b_k = b_i (b_j b_k) for all basis triples, as GEMMs."""
+    m = mult.shape[0]
+    products = mult.reshape(m, m * m)  # row a: b_a b_k over (k, coefficient)
+    pairs = mult.reshape(m * m, m)  # row (j, k): b_j b_k
+    step = max(1, _ASSOC_BLOCK // max(m, 1) ** 3)
+    for lo in range(0, m, step):
+        block = mult[lo : lo + step]
+        left = (block.reshape(-1, m) @ products).reshape(-1, m)
+        right = (pairs @ block).reshape(-1, m)
+        if not _rows_close(left, right, tol):
+            return False
+    return True
 
 
 def validate_algebra(
     algebra: StarAlgebra, ideal: LeftIdeal, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> AlgebraValidation:
-    """Check associativity, involution laws, the unit, and ideal closure."""
-    failures = []
+    """Check associativity, involution laws, the unit, and ideal closure.
+
+    Each law is one batched contraction compared element by element with
+    ||x - y|| <= cmp_tol (1 + ||x|| + ||y||).  Closure is one least-squares
+    solve for the ideal coordinates of all m p products b_i a_l, each
+    required to reproduce its product within cmp_tol (1 + ||b_i a_l||);
+    the solution is the report's ``left_mult``.
+    """
     m = algebra.m
-    basis = np.eye(m, dtype=np.complex128)
-
-    def close(x, y):
-        return np.linalg.norm(x - y) <= cfg.cmp_tol * (
-            1.0 + np.linalg.norm(x) + np.linalg.norm(y)
-        )
-
-    products = [
-        [algebra.multiply(basis[:, i], basis[:, j]) for j in range(m)]
-        for i in range(m)
-    ]
-    if not all(
-        close(algebra.multiply(products[i][j], basis[:, k]),
-              algebra.multiply(basis[:, i], products[j][k]))
-        for i in range(m) for j in range(m) for k in range(m)
-    ):
-        failures.append("associativity")
-    if not all(
-        close(algebra.star(algebra.star(basis[:, i])), basis[:, i]) for i in range(m)
-    ):
-        failures.append("involution_not_involutive")
-    if not all(
-        close(
-            algebra.star(products[i][j]),
-            algebra.multiply(algebra.star(basis[:, j]), algebra.star(basis[:, i])),
-        )
-        for i in range(m) for j in range(m)
-    ):
-        failures.append("involution_not_antimultiplicative")
-    if algebra.unit is not None and not all(
-        close(algebra.multiply(algebra.unit, basis[:, i]), basis[:, i])
-        and close(algebra.multiply(basis[:, i], algebra.unit), basis[:, i])
-        for i in range(m)
-    ):
-        failures.append("unit")
-
     if ideal.basis.shape[0] != m:
         raise ShapeMismatch(
             f"ideal basis must have {m} rows, got {ideal.basis.shape[0]}"
         )
-    if ideal.p > 0:
+    mult, invol, tol = algebra.mult, algebra.invol, cfg.cmp_tol
+    eye = np.eye(m, dtype=np.complex128)
+    failures = []
+    if not _associative(mult, tol):
+        failures.append("associativity")
+    if not _rows_close(np.conj(invol) @ invol, eye, tol):
+        failures.append("involution_not_involutive")
+    # (b_i b_j)* against b_j* b_i*, indexed [j, i, :] on both sides
+    star_of_products = (np.conj(mult) @ invol).transpose(1, 0, 2)
+    products_of_stars = (invol @ (invol @ mult).reshape(m, m * m)).reshape(m, m, m)
+    if not _rows_close(star_of_products, products_of_stars, tol):
+        failures.append("involution_not_antimultiplicative")
+    u = algebra.unit
+    if u is not None and not (
+        _rows_close(np.einsum("a,aik->ik", u, mult), eye, tol)
+        and _rows_close(u @ mult, eye, tol)
+    ):
+        failures.append("unit")
+
+    p = ideal.p
+    left = np.zeros((m, 0, 0), dtype=np.complex128) if p == 0 else None
+    if p > 0:
         sv = np.linalg.svd(ideal.basis, compute_uv=False)
         if np.min(sv) <= cfg.rank_rel_eps * np.max(sv):
             failures.append("ideal_rank")
         else:
-            try:
-                for i in range(m):
-                    for l in range(ideal.p):
-                        _ideal_coords(
-                            ideal,
-                            algebra.multiply(basis[:, i], ideal.basis[:, l]),
-                            cfg,
-                        )
-            except IdealNotClosed:
+            products = (mult.transpose(2, 0, 1) @ ideal.basis).reshape(m, m * p)
+            coords = np.linalg.lstsq(ideal.basis, products, rcond=None)[0]
+            resid = np.linalg.norm(ideal.basis @ coords - products, axis=0)
+            if np.all(resid <= tol * (1.0 + np.linalg.norm(products, axis=0))):
+                left = coords.reshape(p, m, p).transpose(1, 0, 2)
+            else:
                 failures.append("ideal_closure")
-    return AlgebraValidation(ok=not failures, failures=tuple(failures))
+    return AlgebraValidation(ok=not failures, failures=tuple(failures), left_mult=left)
 
 
-def _checked_values(ideal: LeftIdeal, f) -> np.ndarray:
-    w = nc.as_vector(f, "functional values")
-    if w.size != ideal.p:
-        raise ShapeMismatch(f"functional must have length {ideal.p}, got {w.size}")
-    return w
+def functional_gram(algebra: StarAlgebra, g) -> np.ndarray:
+    """Full-algebra form matrix (g(b_i* b_j))_{ij} of a functional."""
+    gv = nc.as_vector(g, "functional values")
+    if gv.size != algebra.m:
+        raise ShapeMismatch(f"functional must have length {algebra.m}, got {gv.size}")
+    return np.einsum("ia,ajk,k->ij", algebra.invol, algebra.mult, gv)
+
+
+@dataclass(frozen=True)
+class _Problem:
+    """An algebra and a left ideal, validated once.
+
+    ``left`` is the validation's stack L (``left[i]`` the ideal-coordinate
+    matrix of a -> b_i a) and ``spectra`` memoizes the factored induced
+    operator of each functional, so every step of one problem reads the
+    same solve and the same factorizations.
+    """
+
+    algebra: StarAlgebra
+    ideal: LeftIdeal
+    cfg: ToleranceConfig
+    left: np.ndarray
+    spectra: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @classmethod
+    def validated(
+        cls, algebra: StarAlgebra, ideal: LeftIdeal, cfg: ToleranceConfig
+    ) -> _Problem:
+        report = validate_algebra(algebra, ideal, cfg)
+        report.raise_if_invalid()
+        return cls(algebra, ideal, cfg, report.left_mult)
+
+    def values(self, f) -> np.ndarray:
+        w = nc.as_vector(f, "functional values")
+        if w.size != self.ideal.p:
+            raise ShapeMismatch(
+                f"functional must have length {self.ideal.p}, got {w.size}"
+            )
+        return w
+
+    def spectrum(self, f) -> GramSpectrum:
+        """The induced operator, action (f(b_k* a_j))_kj, validated and factored."""
+        w = self.values(f)
+        key = w.tobytes()
+        if key not in self.spectra:
+            action = self.algebra.invol @ (w @ self.left)
+            self.spectra[key] = gram_spectrum(
+                PartialOperator(self.ideal.basis, action), self.cfg
+            )
+        return self.spectra[key]
+
+    def hilbert(self, f) -> HilbertBoundReport:
+        constant = self.spectrum(f).form(np.conj(self.values(f)))
+        return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
+
+    def admissibility(self, f) -> AdmissibilityReport:
+        """lambda_i from the forms L_i† G L_i, one batched eigensolve.
+
+        The top eigenvalues of those forms are needed, in a second
+        eigensolve, only to test the kernel of G when it has one.
+        """
+        m = self.algebra.m
+        spec, left = self.spectrum(f), self.left
+        gx = left.conj().transpose(0, 2, 1) @ spec.gram @ left
+        gx = 0.5 * (gx + gx.conj().transpose(0, 2, 1))
+        ok = np.ones(m, dtype=bool)
+        kernel = spec.kernel
+        if kernel.shape[1]:
+            top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
+            leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
+            ok = np.all(
+                np.sqrt(np.maximum(leak, 0.0))
+                <= self.cfg.cmp_tol * (1.0 + np.sqrt(top))[:, None],
+                axis=1,
+            )
+        lambdas = np.zeros(m)
+        if spec.r:
+            root_inv = spec.u / np.sqrt(spec.lam)
+            w = root_inv.conj().T @ gx @ root_inv
+            ev = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 2, 1)))
+            lambdas = np.maximum(ev[:, -1], 0.0)
+        lambdas[~ok] = math.inf
+        return AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)
+
+    def _require_admissible(self, f) -> None:
+        adm = self.admissibility(f)
+        if not adm.admissible:
+            raise NotAdmissible(
+                "left multiplication does not descend to the auxiliary space",
+                certificate=adm.lambdas,
+            )
+
+    def gns(self, f) -> GnsData:
+        spec = self.spectrum(f)
+        if not self.hilbert(f).bounded:
+            raise NotHilbertBounded(
+                "functional is not dominated by its quadratic form on the ideal"
+            )
+        self._require_admissible(f)
+        coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
+        rep = spec.u / np.sqrt(spec.lam)
+        zeta = rep.conj().T @ np.conj(self.values(f))
+        return GnsData(
+            r=spec.r,
+            gram=spec.gram,
+            pi=tuple(coord @ self.left @ rep),
+            zeta=zeta,
+            j_star_full=spec.j.conj().T,
+        )
+
+    def extend(self, f) -> np.ndarray:
+        data = self.gns(f)
+        return np.array(
+            [np.vdot(data.zeta, p @ data.zeta) for p in data.pi], dtype=np.complex128
+        )
+
+    def extend_unital(self, f) -> np.ndarray:
+        if self.algebra.unit is None:
+            raise NoUnit("algebra has no unit")
+        self._require_admissible(f)
+        try:
+            a_n = _minimal_extension(self.spectrum(f))
+        except NotExtendible as exc:
+            raise NotHilbertBounded(
+                "functional is not Hilbert bounded despite admissibility"
+            ) from exc
+        return np.conj(a_n @ self.algebra.unit)
+
+    def representable(self, g) -> bool:
+        """On the whole-algebra problem: the GNS build succeeds for g.
+
+        The build factors the form (g(b_i* b_j))_ij itself, so a g that is
+        not positive fails it as NonPsdGram or NonHermitianGram.
+        """
+        try:
+            self.gns(g)
+        except (NotHilbertBounded, NotAdmissible, NonPsdGram, NonHermitianGram):
+            return False
+        return True
+
+    def f_max(self, f, g) -> np.ndarray:
+        gv = nc.as_vector(g, "bound functional")
+        if gv.size != self.algebra.m:
+            raise ShapeMismatch(f"bound functional must have length {self.algebra.m}")
+        # the whole-algebra ideal: its L is the structure tensor, no solve
+        ideal, left = whole_algebra_ideal(self.algebra), self.algebra.mult.transpose(0, 2, 1)
+        whole = _Problem(self.algebra, ideal, self.cfg, left)
+        if not whole.representable(gv):
+            raise NotRepresentable("bound functional is not representable")
+        f_n = self.extend(f)
+        head = functional_gram(self.algebra, gv - f_n)
+        if not nc.is_psd(head, self.cfg):
+            eig = nc.hermitian_eigen(0.5 * (head + head.conj().T), self.cfg)
+            raise BoundNotDominating(
+                "bound functional does not dominate the minimal extension",
+                certificate=eig.eigenvectors[:, 0],
+            )
+        shifted = self.ideal.basis.T @ gv - self.values(f)
+        result = gv - self.extend(shifted)
+        for name, candidate in (("g - f_N", gv - f_n), ("f_max", result)):
+            if not whole.representable(candidate):
+                raise NotRepresentable(
+                    f"{name} failed the constructive representability check"
+                )
+        return result
 
 
 def induced_operator(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> PartialOperator:
     """Partial operator of the functional: action column j is (f(b_k* a_j))_k.
 
     Its Gram matrix collects the form values f(a_i* a_j); Hermitianness
     and positivity of that Gram are exactly positivity of f on the ideal.
     """
-    return _induced_spectrum(algebra, ideal, f, cfg).op
-
-
-def _induced_spectrum(
-    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig
-) -> GramSpectrum:
-    """The induced operator, validated and factored once."""
-    validate_algebra(algebra, ideal, cfg).raise_if_invalid()
-    w = _checked_values(ideal, f)
-    m = algebra.m
-    action = np.zeros((m, ideal.p), dtype=np.complex128)
-    basis = np.eye(m, dtype=np.complex128)
-    for j in range(ideal.p):
-        for k in range(m):
-            prod = algebra.multiply(algebra.star(basis[:, k]), ideal.basis[:, j])
-            action[k, j] = np.dot(_ideal_coords(ideal, prod, cfg), w)
-    return gram_spectrum(PartialOperator(ideal.basis, action), cfg)
-
-
-def _ideal_left_mult(
-    algebra: StarAlgebra, ideal: LeftIdeal, x: np.ndarray, cfg: ToleranceConfig
-) -> np.ndarray:
-    """Ideal-coordinate matrix of a -> x a."""
-    cols = [
-        _ideal_coords(ideal, algebra.multiply(x, ideal.basis[:, l]), cfg)
-        for l in range(ideal.p)
-    ]
-    return np.array(cols, dtype=np.complex128).T if cols else np.zeros((0, 0), dtype=np.complex128)
+    return _Problem.validated(algebra, ideal, cfg).spectrum(f).op
 
 
 def is_hilbert_bounded(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> HilbertBoundReport:
     """Sharp constant in |f(a)|^2 <= M f(a* a), +inf when there is none."""
-    return _hilbert_report(_induced_spectrum(algebra, ideal, f, cfg), ideal, f)
-
-
-def _hilbert_report(spec: GramSpectrum, ideal: LeftIdeal, f) -> HilbertBoundReport:
-    constant = spec.form(np.conj(_checked_values(ideal, f)))
-    return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
+    return _Problem.validated(algebra, ideal, cfg).hilbert(f)
 
 
 def is_admissible(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> AdmissibilityReport:
     """Per-basis growth constants lambda_x of f(a* x* x a) against f(a* a).
 
@@ -310,46 +440,11 @@ def is_admissible(
     x in the basis bounds f(a* x* x a) by a fixed combination of the
     basis constants, so existence for all x follows.
     """
-    return _admissibility(algebra, ideal, _induced_spectrum(algebra, ideal, f, cfg))
-
-
-def _admissibility(
-    algebra: StarAlgebra, ideal: LeftIdeal, spec: GramSpectrum
-) -> AdmissibilityReport:
-    m = algebra.m
-    if ideal.p == 0:
-        return AdmissibilityReport(admissible=True, lambdas=np.zeros(m))
-    cfg, g, kernel = spec.cfg, spec.gram, spec.kernel
-    root_inv = spec.u / np.sqrt(spec.lam)
-    basis = np.eye(m, dtype=np.complex128)
-    lambdas = np.zeros(m)
-    admissible = True
-    for i in range(m):
-        lmat = _ideal_left_mult(algebra, ideal, basis[:, i], cfg)
-        gx = lmat.conj().T @ g @ lmat
-        gx = 0.5 * (gx + gx.conj().T)
-        ev = np.linalg.eigvalsh(gx) if gx.size else np.zeros(0)
-        gx_top = float(max(np.max(ev), 0.0)) if ev.size else 0.0
-        ok = all(
-            math.sqrt(max(float(np.real(kernel[:, k].conj() @ gx @ kernel[:, k])), 0.0))
-            <= cfg.cmp_tol * (1.0 + math.sqrt(gx_top))
-            for k in range(kernel.shape[1])
-        )
-        if not ok:
-            lambdas[i] = math.inf
-            admissible = False
-        else:
-            w = root_inv.conj().T @ gx @ root_inv
-            ev = np.linalg.eigvalsh(0.5 * (w + w.conj().T)) if w.size else np.zeros(0)
-            lambdas[i] = float(max(np.max(ev), 0.0)) if ev.size else 0.0
-    return AdmissibilityReport(admissible=admissible, lambdas=lambdas)
+    return _Problem.validated(algebra, ideal, cfg).admissibility(f)
 
 
 def gns(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> GnsData:
     """Build the GNS triple of an admissible, Hilbert bounded functional.
 
@@ -358,63 +453,29 @@ def gns(
     pi pushes left multiplication through that coordinate map, and zeta
     represents f itself on the embedded ideal.
     """
-    spec = _induced_spectrum(algebra, ideal, f, cfg)
-    if not _hilbert_report(spec, ideal, f).bounded:
-        raise NotHilbertBounded(
-            "functional is not dominated by its quadratic form on the ideal"
-        )
-    adm = _admissibility(algebra, ideal, spec)
-    if not adm.admissible:
-        raise NotAdmissible(
-            "left multiplication does not descend to the auxiliary space",
-            certificate=adm.lambdas,
-        )
-    coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
-    rep = spec.u / np.sqrt(spec.lam)
-    basis = np.eye(algebra.m, dtype=np.complex128)
-    pi = tuple(
-        coord @ _ideal_left_mult(algebra, ideal, basis[:, i], cfg) @ rep
-        for i in range(algebra.m)
-    )
-    zeta = rep.conj().T @ np.conj(_checked_values(ideal, f))
-    return GnsData(
-        r=spec.r, gram=spec.gram, pi=pi, zeta=zeta, j_star_full=spec.j.conj().T
-    )
+    return _Problem.validated(algebra, ideal, cfg).gns(f)
 
 
 def extend_functional(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Minimal representable extension: f_N(b_k) = <pi(b_k) zeta, zeta>."""
-    data = gns(algebra, ideal, f, cfg)
-    return np.array(
-        [np.vdot(data.zeta, p @ data.zeta) for p in data.pi], dtype=np.complex128
-    )
+    return _Problem.validated(algebra, ideal, cfg).extend(f)
 
 
 def fn_on_positive(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    x,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, x, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> float:
     """f_N(x* x) = ||J* x||^2, the supremum of |f(x* a)|^2 over f(a* a) <= 1."""
-    data = gns(algebra, ideal, f, cfg)
     xv = nc.as_vector(x, "x")
     if xv.size != algebra.m:
         raise ShapeMismatch(f"x must have length {algebra.m}, got {xv.size}")
+    data = gns(algebra, ideal, f, cfg)
     return float(np.linalg.norm(data.j_star_full @ xv) ** 2)
 
 
 def extend_functional_unital(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Unital shortcut f_N(x) = conj(<a_n 1, x>) through the minimal extension.
 
@@ -422,37 +483,7 @@ def extend_functional_unital(
     failure of the underlying extension construction is surfaced as
     NotHilbertBounded (a unit outside the ideal cannot force the bound).
     """
-    if algebra.unit is None:
-        raise NoUnit("algebra has no unit")
-    spec = _induced_spectrum(algebra, ideal, f, cfg)
-    adm = _admissibility(algebra, ideal, spec)
-    if not adm.admissible:
-        raise NotAdmissible(
-            "left multiplication does not descend to the auxiliary space",
-            certificate=adm.lambdas,
-        )
-    try:
-        a_n = krein_von_neumann(spec.op, cfg).a_n
-    except NotExtendible as exc:
-        raise NotHilbertBounded(
-            "functional is not Hilbert bounded despite admissibility"
-        ) from exc
-    return np.conj(a_n @ algebra.unit)
-
-
-def functional_gram(algebra: StarAlgebra, g) -> np.ndarray:
-    """Full-algebra form matrix (g(b_i* b_j))_{ij} of a functional."""
-    gv = nc.as_vector(g, "functional values")
-    if gv.size != algebra.m:
-        raise ShapeMismatch(f"functional must have length {algebra.m}, got {gv.size}")
-    m = algebra.m
-    basis = np.eye(m, dtype=np.complex128)
-    out = np.zeros((m, m), dtype=np.complex128)
-    for i in range(m):
-        star_i = algebra.star(basis[:, i])
-        for j in range(m):
-            out[i, j] = np.dot(algebra.multiply(star_i, basis[:, j]), gv)
-    return out
+    return _Problem.validated(algebra, ideal, cfg).extend_unital(f)
 
 
 def functional_leq(
@@ -467,24 +498,12 @@ def is_representable(
     algebra: StarAlgebra, g, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
     """Decide representability constructively: run the GNS build on (A, A, g)."""
-    gv = nc.as_vector(g, "functional values")
-    if gv.size != algebra.m:
-        raise ShapeMismatch(f"functional must have length {algebra.m}, got {gv.size}")
-    if not nc.is_psd(functional_gram(algebra, gv), cfg):
-        return False
-    try:
-        gns(algebra, whole_algebra_ideal(algebra), gv, cfg)
-    except (NotHilbertBounded, NotAdmissible, NonPsdGram, NonHermitianGram):
-        return False
-    return True
+    whole = whole_algebra_ideal(algebra)
+    return _Problem.validated(algebra, whole, cfg).representable(g)
 
 
 def f_max(
-    algebra: StarAlgebra,
-    ideal: LeftIdeal,
-    f,
-    g,
-    cfg: ToleranceConfig = DEFAULT_TOL,
+    algebra: StarAlgebra, ideal: LeftIdeal, f, g, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Largest representable extension of f dominated by g.
 
@@ -492,25 +511,4 @@ def f_max(
     outputs are checked to be representable rather than assumed (the
     dominated-implies-representable step is an external fact here).
     """
-    gv = nc.as_vector(g, "bound functional")
-    if gv.size != algebra.m:
-        raise ShapeMismatch(f"bound functional must have length {algebra.m}")
-    if not is_representable(algebra, gv, cfg):
-        raise NotRepresentable("bound functional is not representable")
-    f_n = extend_functional(algebra, ideal, f, cfg)
-    head = functional_gram(algebra, gv - f_n)
-    if not nc.is_psd(head, cfg):
-        eig = nc.hermitian_eigen(0.5 * (head + head.conj().T), cfg)
-        raise BoundNotDominating(
-            "bound functional does not dominate the minimal extension",
-            certificate=eig.eigenvectors[:, 0],
-        )
-    w = _checked_values(ideal, f)
-    shifted = ideal.basis.T @ gv - w
-    result = gv - extend_functional(algebra, ideal, shifted, cfg)
-    for name, candidate in (("g - f_N", gv - f_n), ("f_max", result)):
-        if not is_representable(algebra, candidate, cfg):
-            raise NotRepresentable(
-                f"{name} failed the constructive representability check"
-            )
-    return result
+    return _Problem.validated(algebra, ideal, cfg).f_max(f, g)

@@ -1,4 +1,3 @@
-import collections
 import math
 
 import numpy as np
@@ -21,21 +20,6 @@ from util_gen import orthonormal_columns, random_partial, random_psd, random_vec
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 RUN2 = PartialOperator(E1, np.array([[1.0], [1.0]], dtype=complex))
 HALMOS = PartialOperator(E1, np.array([[0.0], [1.0]], dtype=complex))
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Counts calls of the numpy.linalg eigensolvers and SVD."""
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "svd"):
-        fn = getattr(np.linalg, name)
-
-        def counted(*args, _fn=fn, _name=name, **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
-    return calls
 
 
 def test_each_construction_factors_the_gram_once(lapack_calls):

@@ -1,8 +1,11 @@
+import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from kvnext import cli, star_algebra
 from kvnext import (
     LeftIdeal,
     StarAlgebra,
@@ -20,11 +23,15 @@ from kvnext import (
 from kvnext.errors import (
     AssociativityFail,
     BoundNotDominating,
+    InvolutionFail,
     NonPsdGram,
     NoUnit,
     NotHilbertBounded,
     NotRepresentable,
+    RankDeficientDomain,
+    UnitFail,
 )
+from kvnext.numcore import DEFAULT_TOL
 from kvnext.star_algebra import functional_leq, whole_algebra_ideal
 from util_gen import (
     delta_algebra,
@@ -36,6 +43,8 @@ from util_gen import (
     rotated_commutative,
     rotated_ideal,
 )
+
+FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 M2 = m2_algebra()
 M2_IDEAL = m2_first_column_ideal()
@@ -69,6 +78,198 @@ def test_validate_algebra_examples():
     assert "associativity" in report.failures
     with pytest.raises(AssociativityFail):
         report.raise_if_invalid()
+
+
+def _cyclic_involution_algebra() -> StarAlgebra:
+    """Functions on 3 points with f* = conj(f) shifted by one point: the map
+    is antimultiplicative, but applying it twice shifts by two points."""
+    return StarAlgebra(
+        mult=delta_algebra(3).mult,
+        invol=np.roll(np.eye(3, dtype=complex), 1, axis=1),
+        unit=np.ones(3),
+    )
+
+
+@pytest.mark.parametrize(
+    "name, algebra, ideal, error",
+    [
+        (
+            "involution_not_involutive",
+            _cyclic_involution_algebra(),
+            LeftIdeal(np.eye(3, dtype=complex)),
+            InvolutionFail,
+        ),
+        (
+            # e_1* = i e_1 is involutive, but (e_1 e_1)* = i e_1 != e_1* e_1* = -e_1
+            "involution_not_antimultiplicative",
+            StarAlgebra(mult=delta_algebra(2).mult, invol=np.diag([1.0, 1j])),
+            LeftIdeal(np.eye(2, dtype=complex)),
+            InvolutionFail,
+        ),
+        (
+            "unit",
+            StarAlgebra(mult=M2.mult, invol=M2.invol, unit=np.array([1.0, 0, 0, 0])),
+            M2_IDEAL,
+            UnitFail,
+        ),
+        (
+            "ideal_rank",
+            M2,
+            LeftIdeal(np.array([[1.0, 1.0], [0, 0], [0, 0], [0, 0]], dtype=complex)),
+            RankDeficientDomain,
+        ),
+    ],
+)
+def test_each_validation_failure_is_named(name, algebra, ideal, error):
+    report = validate_algebra(algebra, ideal)
+    assert report.failures == (name,)
+    with pytest.raises(error):
+        report.raise_if_invalid()
+
+
+def matrix_algebra(k: int) -> tuple[StarAlgebra, LeftIdeal]:
+    """M_k in the matrix-unit basis E_ab (index a k + b), and its first-column ideal."""
+    m = k * k
+    mult = np.zeros((m, m, m), dtype=complex)
+    invol = np.zeros((m, m), dtype=complex)
+    for a, b in itertools.product(range(k), repeat=2):
+        invol[a * k + b, b * k + a] = 1.0
+        for c in range(k):
+            mult[a * k + b, b * k + c, a * k + c] = 1.0
+    ideal = np.zeros((m, k), dtype=complex)
+    ideal[np.arange(k) * k, np.arange(k)] = 1.0
+    return StarAlgebra(mult=mult, invol=invol, unit=np.eye(k).reshape(-1)), LeftIdeal(ideal)
+
+
+def loop_validation(algebra, ideal, cfg=DEFAULT_TOL):
+    """Reference check, one basis tuple at a time: (failure names, L)."""
+    m, tol = algebra.m, cfg.cmp_tol
+    e = np.eye(m, dtype=complex)
+    mul, star = algebra.multiply, algebra.star
+
+    def close(x, y):
+        return np.linalg.norm(x - y) <= tol * (1 + np.linalg.norm(x) + np.linalg.norm(y))
+
+    failures = []
+    if not all(
+        close(mul(mul(e[i], e[j]), e[k]), mul(e[i], mul(e[j], e[k])))
+        for i, j, k in itertools.product(range(m), repeat=3)
+    ):
+        failures.append("associativity")
+    if not all(close(star(star(e[i])), e[i]) for i in range(m)):
+        failures.append("involution_not_involutive")
+    if not all(
+        close(star(mul(e[i], e[j])), mul(star(e[j]), star(e[i])))
+        for i, j in itertools.product(range(m), repeat=2)
+    ):
+        failures.append("involution_not_antimultiplicative")
+    u = algebra.unit
+    if u is not None and not all(
+        close(mul(u, e[i]), e[i]) and close(mul(e[i], u), e[i]) for i in range(m)
+    ):
+        failures.append("unit")
+    sv = np.linalg.svd(ideal.basis, compute_uv=False)
+    if sv.min() <= cfg.rank_rel_eps * sv.max():
+        return tuple(failures + ["ideal_rank"]), None
+    left = np.zeros((m, ideal.p, ideal.p), dtype=complex)
+    closed = True
+    for i, l in itertools.product(range(m), range(ideal.p)):
+        prod = mul(e[i], ideal.basis[:, l])
+        left[i][:, l] = np.linalg.lstsq(ideal.basis, prod, rcond=None)[0]
+        closed &= bool(
+            np.linalg.norm(ideal.basis @ left[i][:, l] - prod)
+            <= tol * (1 + np.linalg.norm(prod))
+        )
+    if not closed:
+        failures.append("ideal_closure")
+    return tuple(failures), left
+
+
+def loop_action(algebra, ideal, w):
+    """Reference induced action (f(b_k* a_j))_kj, one solve per entry."""
+    e = np.eye(algebra.m, dtype=complex)
+    action = np.zeros((algebra.m, ideal.p), dtype=complex)
+    for k, j in itertools.product(range(algebra.m), range(ideal.p)):
+        prod = algebra.multiply(algebra.star(e[k]), ideal.basis[:, j])
+        action[k, j] = np.linalg.lstsq(ideal.basis, prod, rcond=None)[0] @ w
+    return action
+
+
+def _perturbed(algebra, ideal, part, size, rng):
+    def noise(shape):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return size * z / np.sqrt(2)
+
+    fields = {"mult": algebra.mult, "invol": algebra.invol, "unit": algebra.unit}
+    basis = ideal.basis
+    if part == "ideal":
+        basis = basis + noise(basis.shape)
+    else:
+        fields[part] = fields[part] + noise(fields[part].shape)
+    return StarAlgebra(**fields), LeftIdeal(basis)
+
+
+@pytest.mark.parametrize("family", ["points", "matrix"])
+def test_batched_validation_matches_loop_oracle(family):
+    """Verdict, L and induced action agree with the loop reference on random
+    algebras, unperturbed and perturbed by 0.1, 1 and 10 times cmp_tol."""
+    rng = rng_for(131)
+    cases = []
+    for k in (2, 3, 4, 5) if family == "points" else (2, 3):
+        if family == "points":
+            algebra, _, data = rotated_commutative(rng, k)
+            support = sorted(int(s) for s in rng.choice(k, size=max(1, k // 2), replace=False))
+            ideal = rotated_ideal(data["transform"], support)
+            w = rng.uniform(0.5, 2.0, size=len(support)).astype(complex)
+        else:
+            algebra, ideal = matrix_algebra(k)
+            z = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+            w = ideal.basis.T @ (z @ z.conj().T + np.eye(k)).T.reshape(-1)
+        cases.append((algebra, ideal, w))
+    targets = {
+        "mult": "associativity",
+        "invol": "involution_not_involutive",
+        "unit": "unit",
+        "ideal": "ideal_closure",
+    }
+    for algebra, ideal, w in cases:
+        trials = [(algebra, ideal, 0.0, None)]
+        for part, scale in itertools.product(targets, (0.1, 1.0, 10.0)):
+            size = scale * DEFAULT_TOL.cmp_tol
+            trials.append((*_perturbed(algebra, ideal, part, size, rng), scale, part))
+        for a, i, scale, part in trials:
+            report = validate_algebra(a, i)
+            failures, left = loop_validation(a, i)
+            assert report.failures == failures
+            if scale == 10.0:
+                assert targets[part] in failures
+            if report.ok:
+                assert np.max(np.abs(report.left_mult - left)) <= 1e-12
+            if scale < 1.0:
+                assert report.ok
+                action = induced_operator(a, i, w).action
+                assert np.max(np.abs(action - loop_action(a, i, w))) <= 1e-12 * (
+                    1 + np.max(np.abs(w))
+                )
+
+
+def test_functional_run_validates_once_and_solves_once(lapack_calls, monkeypatch, tmp_path):
+    validations = []
+    validate = star_algebra.validate_algebra
+
+    def counted(*args):
+        validations.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(star_algebra, "validate_algebra", counted)
+    argv = ["functional", str(FIXTURES / "functional_m2_fmax.json"), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert len(validations) == 1
+    # the given ideal needs one solve; f_max's whole-algebra ideal needs none
+    assert lapack_calls["lstsq"] == 1
+    # one Gram factorization per distinct functional: f, the shifted
+    # functional g|I - f, g and g - f_N (f_max equals g here)
+    assert lapack_calls["eigh"] <= 4
 
 
 def test_ideal_closure_detected():
