@@ -71,17 +71,14 @@ def matrix_in(obj, where: str, cols: int | None = None) -> np.ndarray:
     return np.vstack(rows)
 
 
-def scalar_out(z: complex) -> list[float]:
-    return [float(np.real(z)), float(np.imag(z))]
+def matrix_out(m) -> list:
+    """Nested lists of [re, im] pairs, one level per axis of ``m``."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def vector_out(v) -> list:
-    return [scalar_out(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_out(m) -> list:
-    a = np.asarray(m)
-    return [[scalar_out(z) for z in row] for row in a]
+    return matrix_out(np.ravel(v))
 
 
 def ext_real_out(x: float):
@@ -168,7 +165,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         result["degenerate"] = interval.degenerate
         count = payload.get("sample_count", 0)
         if count:
-            samples = extension_set.sample_extensions(op, bound, int(count), seed, cfg)
+            samples = extension_set._samples(interval, int(count), seed, cfg)
             result["samples"] = [matrix_out(s) for s in samples]
     return "ok", result
 
@@ -200,9 +197,7 @@ def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
     problem = kernels.KernelProblem(m=m, n=n, sub=op)
     kernel = kernels.extend_kernel(problem, cfg)
     result = {
-        "blocks": [
-            [matrix_out(kernel.blocks[s, t]) for t in range(m)] for s in range(m)
-        ],
+        "blocks": matrix_out(kernel.blocks),
         "assembled": matrix_out(kernels.operator_from_kernel(kernel)),
         "positive_definite": kernels.is_positive_definite_kernel(kernel, cfg),
     }

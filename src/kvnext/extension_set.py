@@ -23,7 +23,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import BoundTooSmall, InvalidOperator, NotHermitian, NotPsd, ShapeMismatch
-from .kvn import KvnResult, krein_von_neumann
+from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
 from .partial_op import PartialOperator, gram_spectrum
 
@@ -60,13 +60,14 @@ class CompletionReport:
 
 def _check_bound(
     p: PartialOperator, b: np.ndarray, cfg: ToleranceConfig
-) -> KvnResult:
+) -> np.ndarray:
+    """a_n of ``p``, once ``b`` is shown to be a Hermitian bound above it."""
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     if not nc.is_hermitian(b, cfg):
         raise NotHermitian("bound is not Hermitian within tolerance")
-    kvn_result = krein_von_neumann(p, cfg)
-    gap = b - kvn_result.a_n
+    a_n = _minimal_extension(gram_spectrum(p, cfg))
+    gap = b - a_n
     gap = 0.5 * (gap + gap.conj().T)
     ev = np.linalg.eigvalsh(gap)
     if not nc.spectrum_is_psd(ev, cfg):
@@ -81,7 +82,7 @@ def _check_bound(
             "the interval endpoints are tolerance-marginal",
             stacklevel=3,
         )
-    return kvn_result
+    return a_n
 
 
 def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> IntervalResult:
@@ -91,15 +92,14 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
     same domain and action ``b @ D - Ad``.
     """
     bm = nc.as_matrix(b, "bound")
-    kvn_result = _check_bound(p, bm, cfg)
+    a_n = _check_bound(p, bm, cfg)
     shifted = PartialOperator(p.domain_basis, bm @ p.domain_basis - p.action)
-    top = bm - krein_von_neumann(shifted, cfg).a_n
+    top = bm - _minimal_extension(gram_spectrum(shifted, cfg))
     top = 0.5 * (top + top.conj().T)
-    scale = 1.0 + nc.fro(kvn_result.a_n)
     return IntervalResult(
-        a_n=kvn_result.a_n,
+        a_n=a_n,
         a_max=top,
-        degenerate=nc.fro(top - kvn_result.a_n) <= cfg.cmp_tol * scale,
+        degenerate=nc.fro(top - a_n) <= cfg.cmp_tol * (1.0 + nc.fro(a_n)),
     )
 
 
@@ -130,18 +130,26 @@ def sample_extensions(
     pseudorandom Hermitian contraction 0 <= W <= I, so membership and the
     extension property hold by construction.
     """
-    interval = a_max(p, b, cfg)
+    return _samples(a_max(p, b, cfg), count, seed, cfg)
+
+
+def _samples(
+    interval: IntervalResult, count: int, seed: int, cfg: ToleranceConfig
+) -> list[np.ndarray]:
+    """:func:`sample_extensions`, drawn from an interval already computed."""
     spread = interval.a_max - interval.a_n
     spread = 0.5 * (spread + spread.conj().T)
-    if not nc.is_psd(spread, cfg):
-        raise NotPsd("interval spread a_max - a_n is not PSD within tolerance")
-    s_half = nc.psd_sqrt(spread, cfg)
+    try:
+        s_half = nc.psd_sqrt(spread, cfg)
+    except NotPsd as exc:
+        raise NotPsd("interval spread a_max - a_n is not PSD within tolerance") from exc
+    n = spread.shape[0]
     rng = np.random.default_rng(seed)
     samples = []
     for _ in range(max(count, 0)):
-        z = rng.standard_normal((p.n, p.n)) + 1j * rng.standard_normal((p.n, p.n))
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
         q = np.linalg.qr(z)[0]
-        w = (q * rng.uniform(0.0, 1.0, p.n)) @ q.conj().T
+        w = (q * rng.uniform(0.0, 1.0, n)) @ q.conj().T
         m = interval.a_n + s_half @ w @ s_half
         samples.append(0.5 * (m + m.conj().T))
     return samples

@@ -65,12 +65,13 @@ class KernelProblem:
 
 def operator_from_kernel(kernel: Kernel) -> np.ndarray:
     """Assemble the block matrix of the kernel (block (t, s) is K(s, t))."""
-    m, n = kernel.m, kernel.n
-    out = np.zeros((m * n, m * n), dtype=np.complex128)
-    for s in range(m):
-        for t in range(m):
-            out[t * n : (t + 1) * n, s * n : (s + 1) * n] = kernel.blocks[s, t]
-    return out
+    size = kernel.m * kernel.n
+    return kernel.blocks.transpose(1, 2, 0, 3).copy().reshape(size, size)
+
+
+def _blocks(mat: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Inverse of :func:`operator_from_kernel`: ``[s, t]`` is block (t, s)."""
+    return mat.reshape(m, n, m, n).transpose(2, 0, 1, 3)
 
 
 def kernel_from_operator(
@@ -82,23 +83,15 @@ def kernel_from_operator(
         raise ShapeMismatch(f"matrix must be {m * n} x {m * n}, got {mat.shape}")
     if not nc.is_psd(mat, cfg):
         raise NotPsd("operator is not positive semidefinite within tolerance")
-    blocks = np.empty((m, m, n, n), dtype=np.complex128)
-    for s in range(m):
-        for t in range(m):
-            blocks[s, t] = mat[t * n : (t + 1) * n, s * n : (s + 1) * n]
-    return Kernel(blocks=blocks)
+    return Kernel(blocks=_blocks(mat, m, n).copy())
 
 
 def block_symmetry_residual(kernel: Kernel) -> float:
-    """Largest deviation from the adjoint symmetry K(s,t)† = K(t,s)."""
-    worst = 0.0
-    for s in range(kernel.m):
-        for t in range(kernel.m):
-            worst = max(
-                worst,
-                nc.fro(kernel.blocks[s, t].conj().T - kernel.blocks[t, s]),
-            )
-    return worst
+    """Largest deviation from the adjoint symmetry K(s,t)† = K(t,s), read
+    blockwise off A - A†, whose block (t, s) is K(s,t) - K(t,s)†."""
+    a = operator_from_kernel(kernel)
+    residual = _blocks(a - a.conj().T, kernel.m, kernel.n)
+    return float(np.max(np.linalg.norm(residual, axis=(2, 3)), initial=0.0))
 
 
 def is_positive_definite_kernel(

@@ -135,6 +135,24 @@ def numerical_rank(eigenvalues: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) 
     return int(np.count_nonzero(eigenvalues > cfg.rank_rel_eps * top))
 
 
+def full_column_rank(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
+    """Whether the columns of ``m`` are independent, and sigma_max(m).
+
+    Each singular value of ``m`` must exceed rank_rel_eps * sigma_max (not
+    squared: these are not eigenvalues of m† m).  More columns than rows
+    always fail, since the SVD then returns one value per row only.
+    """
+    sv = np.linalg.svd(m, compute_uv=False)
+    top = float(np.max(sv, initial=0.0))
+    return bool(m.shape[1] <= m.shape[0] and np.all(sv > cfg.rank_rel_eps * top)), top
+
+
+def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs above the :func:`numerical_rank` cutoff, descending."""
+    low = eig.eigenvalues.size - numerical_rank(eig.eigenvalues, cfg)
+    return eig.eigenvalues[low:][::-1].copy(), eig.eigenvectors[:, low:][:, ::-1].copy()
+
+
 def positive_spectrum(
     m, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -143,14 +161,7 @@ def positive_spectrum(
     Returns ``(lam, u)`` with ``lam`` descending positive eigenvalues of
     numerical rank length and ``u`` the matching orthonormal columns.
     """
-    eig = hermitian_eigen(m, cfg)
-    r = numerical_rank(eig.eigenvalues, cfg)
-    if r == 0:
-        n = eig.eigenvectors.shape[0]
-        return np.zeros(0), np.zeros((n, 0), dtype=np.complex128)
-    lam = eig.eigenvalues[::-1][:r].copy()
-    u = eig.eigenvectors[:, ::-1][:, :r].copy()
-    return lam, u
+    return _kept(hermitian_eigen(m, cfg), cfg)
 
 
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -161,9 +172,15 @@ def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return spectrum_is_psd(np.linalg.eigvalsh(0.5 * (a + a.conj().T)), cfg)
 
 
-def _require_psd(m: np.ndarray, cfg: ToleranceConfig, name: str) -> None:
-    if not is_psd(m, cfg):
-        raise NotPsd(f"{name} is not positive semidefinite within tolerance")
+def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:
+    """``eigh`` of a matrix that passes :func:`is_psd`, the test read off its
+    eigenvalues; raises NotPsd otherwise, also for non-Hermitian input."""
+    a = as_matrix(m)
+    if is_hermitian(a, cfg):  # raises NotSquare first
+        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+        if spectrum_is_psd(w, cfg):
+            return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    raise NotPsd("matrix is not positive semidefinite within tolerance")
 
 
 def pseudo_inverse(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
@@ -172,12 +189,7 @@ def pseudo_inverse(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     Eigenvalues below ``rank_rel_eps`` times the largest one are treated as
     exact zeros, so the result is supported on the numerical range only.
     """
-    a = as_matrix(m)
-    _require_square(a, "matrix")
-    _require_psd(a, cfg, "matrix")
-    lam, u = positive_spectrum(a, cfg)
-    if lam.size == 0:
-        return np.zeros_like(a)
+    lam, u = _kept(_psd_eigen(m, cfg), cfg)
     return (u / lam) @ u.conj().T
 
 
@@ -188,24 +200,14 @@ def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     square root would carry sqrt(machine-eps) noise in kernel directions
     and corrupt downstream range decisions.
     """
-    a = as_matrix(m)
-    _require_square(a, "matrix")
-    _require_psd(a, cfg, "matrix")
-    eig = hermitian_eigen(a, cfg)
-    w = np.clip(eig.eigenvalues, 0.0, None)
-    w[: w.size - numerical_rank(eig.eigenvalues, cfg)] = 0.0
-    s = (eig.eigenvectors * np.sqrt(w)) @ eig.eigenvectors.conj().T
+    lam, u = _kept(_psd_eigen(m, cfg), cfg)
+    s = (u * np.sqrt(lam)) @ u.conj().T
     return 0.5 * (s + s.conj().T)
 
 
 def psd_sqrt_pinv(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Pseudo-inverse square root M^{+1/2}, supported on the numerical range."""
-    a = as_matrix(m)
-    _require_square(a, "matrix")
-    _require_psd(a, cfg, "matrix")
-    lam, u = positive_spectrum(a, cfg)
-    if lam.size == 0:
-        return np.zeros_like(a)
+    lam, u = _kept(_psd_eigen(m, cfg), cfg)
     return (u / np.sqrt(lam)) @ u.conj().T
 
 

@@ -130,10 +130,8 @@ def _validated(
     """
     failures = []
     g = p.gram()
-    # Singular values of D itself, so the relative cutoff is not squared.
-    sv = np.linalg.svd(p.domain_basis, compute_uv=False)
-    sigma_max = float(np.max(sv, initial=0.0))
-    if sv.size and np.min(sv) <= cfg.rank_rel_eps * sigma_max:
+    full_rank, sigma_max = nc.full_column_rank(p.domain_basis, cfg)
+    if not full_rank:
         failures.append("rank_deficient_domain")
     eig = None
     if not nc.is_hermitian(g, cfg):

@@ -29,16 +29,30 @@ class GapReport:
     constant: float
 
 
-def _checked_family(ops, vecs, cfg: ToleranceConfig):
-    if len(ops) != len(vecs) or not ops:
-        raise ShapeMismatch("need equally many operators and vectors, at least one")
+def _square_family(ops) -> list[np.ndarray]:
+    """The A_j as matrices of one common square shape."""
+    if not ops:
+        raise ShapeMismatch("need at least one operator")
     mats = [nc.as_matrix(a, f"A_{j}") for j, a in enumerate(ops)]
     n = mats[0].shape[0]
     for j, m in enumerate(mats):
         if m.shape != (n, n):
             raise ShapeMismatch(f"A_{j} has shape {m.shape}, expected {(n, n)}")
+    return mats
+
+
+def _not_psd(j: int) -> NotPsd:
+    return NotPsd(f"A_{j} is not positive semidefinite within tolerance")
+
+
+def _checked_family(ops, vecs, cfg: ToleranceConfig):
+    if len(ops) != len(vecs) or not ops:
+        raise ShapeMismatch("need equally many operators and vectors, at least one")
+    mats = _square_family(ops)
+    n = mats[0].shape[0]
+    for j, m in enumerate(mats):
         if not nc.is_psd(m, cfg):
-            raise NotPsd(f"A_{j} is not positive semidefinite within tolerance")
+            raise _not_psd(j)
     xs = [nc.as_vector(x, f"x_{j}") for j, x in enumerate(vecs)]
     for j, x in enumerate(xs):
         if x.size != n:
@@ -67,16 +81,13 @@ def minimal_constant_estimate(
     returned Rayleigh quotient is a certified lower bound that increases
     to || sum_j A_j || with the iteration count.
     """
-    if not ops:
-        raise ShapeMismatch("need at least one operator")
-    mats = [nc.as_matrix(a, f"A_{j}") for j, a in enumerate(ops)]
-    n = mats[0].shape[0]
-    for j, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ShapeMismatch(f"A_{j} has shape {m.shape}, expected {(n, n)}")
-        if not nc.is_psd(m, cfg):
-            raise NotPsd(f"A_{j} is not positive semidefinite within tolerance")
-    v = np.vstack([nc.psd_sqrt(m, cfg) for m in mats])
+    roots = []
+    for j, m in enumerate(_square_family(ops)):
+        try:
+            roots.append(nc.psd_sqrt(m, cfg))
+        except NotPsd as exc:
+            raise _not_psd(j) from exc
+    v = np.vstack(roots)
     coupling = v @ v.conj().T
     rng = np.random.default_rng(seed)
     h = rng.standard_normal(coupling.shape[0]) + 1j * rng.standard_normal(

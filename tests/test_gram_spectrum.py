@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,15 +8,22 @@ from hypothesis import strategies as st
 
 from kvnext import (
     PartialOperator,
+    a_max,
+    cli,
     gram_spectrum,
+    halmos_complete,
     in_interval,
     is_extendible,
     krein_von_neumann,
+    minimal_constant_estimate,
     qform_sup,
+    schwarz_gap,
 )
 from kvnext import numcore as nc
-from kvnext.errors import InvalidOperator, NonPsdGram, NotExtendible
+from kvnext.errors import InvalidOperator, NonPsdGram, NotExtendible, NotPsd
 from util_gen import orthonormal_columns, random_partial, random_psd, random_vector, rng_for
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 RUN2 = PartialOperator(E1, np.array([[1.0], [1.0]], dtype=complex))
@@ -36,8 +44,42 @@ def test_each_construction_factors_the_gram_once(lapack_calls):
     lapack_calls.clear()
     assert in_interval(p, bound, t)
     assert lapack_calls["eigh"] <= 2
-    assert lapack_calls["eigvalsh"] <= 5
+    assert lapack_calls["eigvalsh"] <= 3
     assert lapack_calls["svd"] <= 2
+
+    lapack_calls.clear()
+    a_max(p, bound)
+    assert lapack_calls["eigvalsh"] == 1
+
+
+@pytest.mark.parametrize("fn", [nc.psd_sqrt, nc.pseudo_inverse, nc.psd_sqrt_pinv])
+def test_psd_matrix_functions_check_and_factor_once(fn, lapack_calls):
+    fn(random_psd(rng_for(7), 6, rank=3))
+    assert (lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (1, 0)
+    with pytest.raises(NotPsd):
+        fn(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+
+def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
+    rng = rng_for(31)
+    b = random_psd(rng, 5, rank=3)
+    halmos_complete(b[:3, :3], b[3:, :3])
+    assert lapack_calls["eigvalsh"] <= 1
+
+    k = 3
+    ops = [random_psd(rng, 4) for _ in range(k)]
+    lapack_calls.clear()
+    schwarz_gap(ops, [random_vector(rng, 4) for _ in range(k)])
+    minimal_constant_estimate(ops, 20, seed=0)
+    assert lapack_calls["eigvalsh"] <= k + 1
+
+
+def test_bounded_extend_computes_the_interval_once(lapack_calls, tmp_path):
+    argv = ["extend", str(FIXTURES / "extend_bounded_3i.json"), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    # one SVD per operator: A for a_n, A again for a_max's bound check, B - A
+    assert lapack_calls["svd"] <= 3
+    assert lapack_calls["eigvalsh"] <= 3
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)

@@ -27,6 +27,10 @@ def test_validate_examples():
     )
     assert "rank_deficient_domain" in rank_def.failures
 
+    # three vectors in C^2: the SVD has only two singular values, both large
+    wide = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0]], dtype=complex)
+    assert validate(PartialOperator(wide, wide)).failures == ("rank_deficient_domain",)
+
 
 def test_shape_mismatch_on_construction():
     with pytest.raises(ShapeMismatch):

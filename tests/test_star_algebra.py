@@ -118,6 +118,13 @@ def _cyclic_involution_algebra() -> StarAlgebra:
             LeftIdeal(np.array([[1.0, 1.0], [0, 0], [0, 0], [0, 0]], dtype=complex)),
             RankDeficientDomain,
         ),
+        (
+            # five vectors in the 4-dimensional M_2
+            "ideal_rank",
+            M2,
+            LeftIdeal(np.hstack([np.eye(4), np.ones((4, 1))]).astype(complex)),
+            RankDeficientDomain,
+        ),
     ],
 )
 def test_each_validation_failure_is_named(name, algebra, ideal, error):
