@@ -160,7 +160,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         "rank": res.factorization.r,
     }
     if bound is not None:
-        interval = extension_set.a_max(op, bound, cfg)
+        interval = extension_set._interval(op, res.a_n, bound, cfg)
         result["a_max"] = matrix_out(interval.a_max)
         result["degenerate"] = interval.degenerate
         count = payload.get("sample_count", 0)

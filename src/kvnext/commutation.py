@@ -6,10 +6,10 @@ same relations hold globally for the minimal extension:
 
     C† a_n = a_n B,        B† a_n = a_n C.
 
-The hypothesis check solves for B x and C x in the domain basis (least
-squares) and compares form values columnwise; spectral boundedness of
-B C on the domain, required in wider generality, is automatic here and
-recorded as such.
+The hypotheses are read off one QR factorization D = q r of the validated
+domain basis and compared columnwise; spectral boundedness of B C on the
+domain, required in wider generality, is automatic here and recorded as
+such.
 """
 
 from __future__ import annotations
@@ -44,18 +44,22 @@ def _hypothesis_status(
         )
     if p.d == 0:
         return True, "ok"
+    # D is validated full column rank, so ran D = ran q and r is invertible:
+    # no further rank decision is made here.
+    q, r = np.linalg.qr(p.domain_basis)
+    coeff = {}
     for name, m in (("B", b), ("C", c)):
-        if not nc.range_included(m @ p.domain_basis, p.domain_basis, cfg):
+        md = m @ p.domain_basis
+        proj = q.conj().T @ md
+        if nc.fro(md - q @ proj) > cfg.cmp_tol * (1.0 + nc.fro(md)):
             return False, f"invariance: {name} does not leave the domain invariant"
-    # coefficients of B x_j and C x_j in the domain basis
-    coeff_b = np.linalg.lstsq(p.domain_basis, b @ p.domain_basis, rcond=None)[0]
-    coeff_c = np.linalg.lstsq(p.domain_basis, c @ p.domain_basis, rcond=None)[0]
+        coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
     scale = cfg.cmp_tol * (
         1.0 + nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
     )
-    if nc.fro(c.conj().T @ p.action - p.action @ coeff_b) > scale:
+    if nc.fro(c.conj().T @ p.action - p.action @ coeff["B"]) > scale:
         return False, "C† A = A B fails on the domain"
-    if nc.fro(b.conj().T @ p.action - p.action @ coeff_c) > scale:
+    if nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]) > scale:
         return False, "B† A = A C fails on the domain"
     return True, "ok"
 

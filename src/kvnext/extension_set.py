@@ -58,15 +58,15 @@ class CompletionReport:
     witness: np.ndarray | None
 
 
-def _check_bound(
-    p: PartialOperator, b: np.ndarray, cfg: ToleranceConfig
-) -> np.ndarray:
-    """a_n of ``p``, once ``b`` is shown to be a Hermitian bound above it."""
+def _interval(
+    p: PartialOperator, a_n: np.ndarray, b: np.ndarray, cfg: ToleranceConfig
+) -> IntervalResult:
+    """:func:`a_max` over the minimal extension ``a_n`` of ``p`` that the
+    caller already holds, once ``b`` is shown to be a Hermitian bound above it."""
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     if not nc.is_hermitian(b, cfg):
         raise NotHermitian("bound is not Hermitian within tolerance")
-    a_n = _minimal_extension(gram_spectrum(p, cfg))
     gap = b - a_n
     gap = 0.5 * (gap + gap.conj().T)
     ev = np.linalg.eigvalsh(gap)
@@ -82,7 +82,14 @@ def _check_bound(
             "the interval endpoints are tolerance-marginal",
             stacklevel=3,
         )
-    return a_n
+    shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
+    top = b - _minimal_extension(gram_spectrum(shifted, cfg))
+    top = 0.5 * (top + top.conj().T)
+    return IntervalResult(
+        a_n=a_n,
+        a_max=top,
+        degenerate=nc.fro(top - a_n) <= cfg.cmp_tol * (1.0 + nc.fro(a_n)),
+    )
 
 
 def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> IntervalResult:
@@ -92,15 +99,7 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
     same domain and action ``b @ D - Ad``.
     """
     bm = nc.as_matrix(b, "bound")
-    a_n = _check_bound(p, bm, cfg)
-    shifted = PartialOperator(p.domain_basis, bm @ p.domain_basis - p.action)
-    top = bm - _minimal_extension(gram_spectrum(shifted, cfg))
-    top = 0.5 * (top + top.conj().T)
-    return IntervalResult(
-        a_n=a_n,
-        a_max=top,
-        degenerate=nc.fro(top - a_n) <= cfg.cmp_tol * (1.0 + nc.fro(a_n)),
-    )
+    return _interval(p, _minimal_extension(gram_spectrum(p, cfg)), bm, cfg)
 
 
 def in_interval(

@@ -21,9 +21,9 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import NotPsd, ShapeMismatch
-from .kvn import krein_von_neumann
+from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator
+from .partial_op import PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,9 @@ def extend_kernel(problem: KernelProblem, cfg: ToleranceConfig = DEFAULT_TOL) ->
     Every kernel compatible with the prescription dominates the result in
     the order induced by the assembled operators.
     """
-    minimal = krein_von_neumann(problem.sub, cfg).a_n
-    return kernel_from_operator(minimal, problem.m, problem.n, cfg)
+    # a_n is PSD by construction: its blocks need no further test
+    minimal = _minimal_extension(gram_spectrum(problem.sub, cfg))
+    return Kernel(blocks=_blocks(minimal, problem.m, problem.n).copy())
 
 
 def kernel_preceq(k: Kernel, l: Kernel, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:

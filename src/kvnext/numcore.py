@@ -4,8 +4,8 @@ Conventions used across the package:
 
 * Matrices are dense ``numpy`` arrays of ``complex128``, row-major.
 * The ambient spaces are C^n paired by the canonical anti-duality
-  ``pairing(f, x) = sum_i f[i] * conj(x[i])`` (linear in ``f``, conjugate
-  linear in ``x``), so adjoints are plain conjugate transposes.
+  ``<f, x> = sum_i f[i] * conj(x[i])`` (linear in ``f``, conjugate linear
+  in ``x``), so adjoints are plain conjugate transposes.
 * Rank decisions are relative: an eigenvalue counts as nonzero when it
   exceeds ``rank_rel_eps`` times the largest eigenvalue
   (:func:`numerical_rank`).  Gram matrices of partial operators scale the
@@ -75,11 +75,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     if a.size and not np.all(np.isfinite(a)):
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
-
-
-def pairing(f, x) -> complex:
-    """Canonical anti-duality on C^n: linear in f, conjugate linear in x."""
-    return complex(np.vdot(np.asarray(x), np.asarray(f)))
 
 
 def fro(m) -> float:

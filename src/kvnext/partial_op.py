@@ -32,6 +32,7 @@ from . import numcore as nc
 from .errors import (
     NonHermitianGram,
     NonPsdGram,
+    NotHermitian,
     RankDeficientDomain,
     ShapeMismatch,
 )
@@ -133,11 +134,12 @@ def _validated(
     full_rank, sigma_max = nc.full_column_rank(p.domain_basis, cfg)
     if not full_rank:
         failures.append("rank_deficient_domain")
-    eig = None
-    if not nc.is_hermitian(g, cfg):
+    try:
+        eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
+    except NotHermitian:
+        eig = None
         failures.append("non_hermitian_gram")
     else:
-        eig = nc.hermitian_eigen(g, cfg)
         if not nc.spectrum_is_psd(eig.eigenvalues, cfg):
             failures.append("non_psd_gram")
     report = ValidationReport(ok=not failures, failures=tuple(failures), gram=g)

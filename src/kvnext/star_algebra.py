@@ -99,10 +99,6 @@ class StarAlgebra:
     def star(self, a) -> np.ndarray:
         return self.invol.T @ np.conj(nc.as_vector(a))
 
-    def left_mult_matrix(self, x) -> np.ndarray:
-        """Matrix of y -> x y on algebra coefficients."""
-        return np.einsum("i,ijk->kj", nc.as_vector(x), self.mult)
-
 
 @dataclass(frozen=True)
 class LeftIdeal:

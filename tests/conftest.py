@@ -6,9 +6,9 @@ import pytest
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts calls of the numpy.linalg eigensolvers, SVD and least squares."""
+    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares and QR."""
     calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "svd", "lstsq"):
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr"):
         fn = getattr(np.linalg, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):

@@ -1,10 +1,14 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from kvnext import PartialOperator, check_intertwining, verify_commutation
+from kvnext import PartialOperator, check_intertwining, cli, verify_commutation
 from kvnext import numcore as nc
 from kvnext.errors import HypothesesFail, ShapeMismatch
 from util_gen import commuting_instance, random_partial, rng_for
+
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
 
@@ -80,3 +84,30 @@ def test_self_adjoint_case_commutes_with_extension():
         assert report.conclusion_holds
         a_n = krein_von_neumann(p).a_n
         assert nc.fro(a_n @ b - b @ a_n) <= 1e-7 * (1.0 + nc.fro(a_n) * nc.fro(b))
+
+
+def test_invariance_seen_at_the_validated_rank():
+    # sigma_min / sigma_max(D) = 1e-8: valid at rank_rel_eps = 1e-10, but
+    # below what a projector built from D D† can resolve (its squared
+    # spectrum puts e2 at 1e-16, under the 64 eps floor).
+    d = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]], dtype=complex)
+    ad = np.array([[1.0, 0.0], [0.0, 1e8], [0.0, 0.0]], dtype=complex)  # G = I
+    p = PartialOperator(d, ad)
+    b = np.diag([2.0, 30.0, 5.0]).astype(complex)
+    assert check_intertwining(p, b, b)
+    report = verify_commutation(p, b, b)
+    assert report.hypotheses_hold
+    assert report.conclusion_holds
+
+
+def test_hypotheses_read_one_qr_of_the_domain(lapack_calls, tmp_path):
+    p, b, c = commuting_instance(rng_for(45), 16)
+    lapack_calls.clear()
+    assert verify_commutation(p, b, c).conclusion_holds
+    assert lapack_calls == {"svd": 1, "eigh": 1, "qr": 1}
+
+    lapack_calls.clear()
+    argv = ["commutation", str(FIXTURES / "commutation_diag.json"), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    assert (lapack_calls["lstsq"], lapack_calls["qr"]) == (0, 1)
+    assert lapack_calls["eigh"] <= 1

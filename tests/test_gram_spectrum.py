@@ -77,9 +77,18 @@ def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
 def test_bounded_extend_computes_the_interval_once(lapack_calls, tmp_path):
     argv = ["extend", str(FIXTURES / "extend_bounded_3i.json"), "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    # one SVD per operator: A for a_n, A again for a_max's bound check, B - A
-    assert lapack_calls["svd"] <= 3
+    # one SVD and one eigh per operator (A for a_n and the bound check, then
+    # B - A), and one eigh for the samples' square root
+    assert lapack_calls["svd"] <= 2
+    assert lapack_calls["eigh"] <= 3
     assert lapack_calls["eigvalsh"] <= 3
+
+
+def test_kernel_command_tests_positivity_once(lapack_calls, tmp_path):
+    argv = ["kernel", str(FIXTURES / "kernel_m2_ones.json"), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    # the report's positive_definite; a_n is PSD by construction
+    assert lapack_calls["eigvalsh"] == 1
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
