@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
@@ -38,43 +39,125 @@ class CliInputError(Exception):
     pass
 
 
+# the types json.load gives JSON numbers; bool is a subclass of int, but
+# JSON true/false are not numbers
+_NUMBERS = frozenset({int, float})
+
+
 def _is_number(obj) -> bool:
-    # bool is a subclass of int, but JSON true/false are not numbers
-    return isinstance(obj, (int, float)) and not isinstance(obj, bool)
+    return type(obj) in _NUMBERS
 
 
 def _scalar_in(obj, where: str) -> complex:
-    if _is_number(obj):
-        return complex(obj)
-    if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
-        return complex(obj[0], obj[1])
+    try:
+        if _is_number(obj):
+            return complex(obj)
+        if isinstance(obj, list) and len(obj) == 2 and all(_is_number(v) for v in obj):
+            return complex(obj[0], obj[1])
+    except OverflowError:
+        raise CliInputError(f"{where}: number out of range")
     raise CliInputError(f"{where}: expected a number or [re, im] pair")
 
 
-def vector_in(obj, where: str) -> np.ndarray:
+def _int_in(obj, where: str) -> int:
+    if type(obj) is float and obj.is_integer():
+        return int(obj)
+    if type(obj) is not int:
+        raise CliInputError(f"{where}: expected an integer")
+    return obj
+
+
+def _real_in(obj, where: str) -> float:
+    if not _is_number(obj):
+        raise CliInputError(f"{where}: expected a number")
+    try:
+        return float(obj)
+    except OverflowError:
+        raise CliInputError(f"{where}: number out of range")
+
+
+def _grid_in(obj, axes: int) -> np.ndarray | None:
+    """The complex array read off ``axes`` levels of regular lists of
+    numbers or of [re, im] pairs, or None if ``obj`` is not such a grid.
+
+    One ``np.asarray`` reads the grid and one pass over the leaves' types
+    rejects what numpy would convert silently (true, "1.5", null).  None
+    sends the caller to the element-wise walk, which names the error or
+    reads a legal grid that mixes bare reals and pairs.
+    """
+    try:
+        a = np.asarray(obj, dtype=np.float64)
+    except (ValueError, TypeError, OverflowError):
+        return None
+    pairs = a.ndim == axes + 1 and a.shape[-1] == 2
+    if not (pairs or a.ndim == axes):
+        return None
+    leaves = obj
+    for _ in range(a.ndim - 1):
+        leaves = chain.from_iterable(leaves)
+    if not set(map(type, leaves)) <= _NUMBERS:
+        return None
+    if pairs:
+        return a.view(np.complex128).reshape(a.shape[:-1])
+    return a.astype(np.complex128)
+
+
+def _walk(obj, where: str) -> np.ndarray:
     if not isinstance(obj, list):
         raise CliInputError(f"{where}: expected a list")
     return np.array([_scalar_in(v, where) for v in obj], dtype=np.complex128)
 
 
+def vector_in(obj, where: str) -> np.ndarray:
+    grid = _grid_in(obj, 1)
+    return _walk(obj, where) if grid is None else grid
+
+
 def matrix_in(obj, where: str, cols: int | None = None) -> np.ndarray:
     if not isinstance(obj, list):
         raise CliInputError(f"{where}: expected a list of rows")
-    rows = [vector_in(r, where) for r in obj]
-    if not rows:
+    if not obj:
         return np.zeros((0, 0 if cols is None else cols), dtype=np.complex128)
-    width = rows[0].size if cols is None else cols
-    if any(r.size != width for r in rows):
+    grid = _grid_in(obj, 2)
+    if grid is None:
+        rows = [_walk(r, where) for r in obj]
+        if len({r.size for r in rows}) > 1:
+            raise CliInputError(f"{where}: ragged rows")
+        grid = np.array(rows, dtype=np.complex128)
+    if cols is not None and grid.shape[1] != cols:
         raise CliInputError(f"{where}: ragged rows")
-    if width == 0:
-        return np.zeros((len(rows), 0), dtype=np.complex128)
-    return np.vstack(rows)
+    return grid
+
+
+def _mult_in(obj, m: int) -> np.ndarray:
+    """The m x m x m structure tensor: one grid read, or the walk that
+    names the first malformed entry."""
+    grid = _grid_in(obj, 3)
+    if grid is not None and grid.shape == (m, m, m):
+        return grid
+    if not isinstance(obj, list) or len(obj) != m:
+        raise CliInputError("payload.mult: expected m lists of m vectors")
+    mult = np.zeros((m, m, m), dtype=np.complex128)
+    for i, row in enumerate(obj):
+        if not isinstance(row, list) or len(row) != m:
+            raise CliInputError("payload.mult: expected m lists of m vectors")
+        for j, entry in enumerate(row):
+            vec = vector_in(entry, f"payload.mult[{i}][{j}]")
+            if vec.size != m:
+                raise CliInputError(f"payload.mult[{i}][{j}]: expected length {m}")
+            mult[i, j] = vec
+    return mult
+
+
+def _grid(m) -> np.ndarray:
+    """``m`` as one float64 grid of [re, im] pairs, the form reports carry."""
+    a = np.asarray(m, dtype=np.complex128)
+    return np.stack([a.real, a.imag], -1)
 
 
 def matrix_out(m) -> list:
     """Nested lists of [re, im] pairs, one level per axis of ``m``."""
-    a = np.asarray(m, dtype=np.complex128)
-    return np.stack([a.real, a.imag], -1).tolist()
+    return _grid(m).tolist()
 
 
 def vector_out(v) -> list:
@@ -101,7 +184,7 @@ def _tolerances(args, file_tol: dict | None) -> ToleranceConfig:
         for key in file_tol:
             if key not in values:
                 raise CliInputError(f"tolerances: unknown key {key!r}")
-            values[key] = float(file_tol[key])
+            values[key] = _real_in(file_tol[key], f"tolerances.{key}")
     if args.tol_rank is not None:
         values["rank_rel_eps"] = args.tol_rank
     if args.tol_psd is not None:
@@ -115,7 +198,7 @@ def _tolerances(args, file_tol: dict | None) -> ToleranceConfig:
 
 
 def _partial_operator_in(payload: dict, where: str = "payload") -> partial_op.PartialOperator:
-    n = int(payload["dim"])
+    n = _int_in(payload["dim"], f"{where}.dim")
     basis = matrix_in(payload["domain_basis"], f"{where}.domain_basis")
     action = matrix_in(payload["action"], f"{where}.action")
     if basis.size == 0:
@@ -134,11 +217,11 @@ def run_check(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tupl
     report = partial_op.is_extendible(op, cfg)
     result = {
         "extendible": report.extendible,
-        "gram": matrix_out(report.gram),
+        "gram": _grid(report.gram),
         "hilbert_bound": ext_real_out(report.hilbert_bound),
     }
     if report.witness is not None:
-        result["witness"] = vector_out(report.witness)
+        result["witness"] = _grid(np.ravel(report.witness))
         return "not_extendible", result
     return "ok", result
 
@@ -155,18 +238,19 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         bound = None
     res = kvn_mod.krein_von_neumann(op, cfg)
     result = {
-        "a_n": matrix_out(res.a_n),
+        "a_n": _grid(res.a_n),
         "norm": res.norm,
         "rank": res.factorization.r,
     }
     if bound is not None:
         interval = extension_set._interval(op, res.a_n, bound, cfg)
-        result["a_max"] = matrix_out(interval.a_max)
+        result["a_max"] = _grid(interval.a_max)
         result["degenerate"] = interval.degenerate
-        count = payload.get("sample_count", 0)
+        count = payload.get("sample_count")
+        count = 0 if count is None else _int_in(count, "payload.sample_count")
         if count:
-            samples = extension_set._samples(interval, int(count), seed, cfg)
-            result["samples"] = [matrix_out(s) for s in samples]
+            samples = extension_set._samples(interval, count, seed, cfg)
+            result["samples"] = [_grid(s) for s in samples]
     return "ok", result
 
 
@@ -181,46 +265,36 @@ def run_complete(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> t
         "bound_constant": ext_real_out(report.bound_constant),
     }
     if report.completable:
-        result["a22_min"] = matrix_out(report.a22_min)
-        result["completion"] = matrix_out(report.completion)
+        result["a22_min"] = _grid(report.a22_min)
+        result["completion"] = _grid(report.completion)
         return "ok", result
-    result["witness"] = vector_out(report.witness)
+    result["witness"] = _grid(np.ravel(report.witness))
     return "not_extendible", result
 
 
 def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    m = int(payload["set_size"])
-    n = int(payload["fiber_dim"])
+    m = _int_in(payload["set_size"], "payload.set_size")
+    n = _int_in(payload["fiber_dim"], "payload.fiber_dim")
     inner = dict(payload)
     inner["dim"] = m * n
     op = _partial_operator_in(inner)
     problem = kernels.KernelProblem(m=m, n=n, sub=op)
     kernel = kernels.extend_kernel(problem, cfg)
     result = {
-        "blocks": matrix_out(kernel.blocks),
-        "assembled": matrix_out(kernels.operator_from_kernel(kernel)),
+        "blocks": _grid(kernel.blocks),
+        "assembled": _grid(kernels.operator_from_kernel(kernel)),
         "positive_definite": kernels.is_positive_definite_kernel(kernel, cfg),
     }
     return "ok", result
 
 
 def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    m = int(payload["dim"])
+    m = _int_in(payload["dim"], "payload.dim")
     mult_rows = payload["mult"]
     invol = matrix_in(payload["invol"], "payload.invol")
     ideal_basis = matrix_in(payload["ideal_basis"], "payload.ideal_basis")
     values = vector_in(payload["functional"], "payload.functional")
-    if not isinstance(mult_rows, list) or len(mult_rows) != m:
-        raise CliInputError("payload.mult: expected m lists of m vectors")
-    mult = np.zeros((m, m, m), dtype=np.complex128)
-    for i, row in enumerate(mult_rows):
-        if not isinstance(row, list) or len(row) != m:
-            raise CliInputError("payload.mult: expected m lists of m vectors")
-        for j, entry in enumerate(row):
-            vec = vector_in(entry, f"payload.mult[{i}][{j}]")
-            if vec.size != m:
-                raise CliInputError(f"payload.mult[{i}][{j}]: expected length {m}")
-            mult[i, j] = vec
+    mult = _mult_in(mult_rows, m)
     unit = payload.get("unit")
     algebra = star_algebra.StarAlgebra(
         mult=mult,
@@ -244,13 +318,13 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
         )
         return "not_extendible", result
     result["rank"] = problem.spectrum(values).r
-    result["f_n"] = vector_out(problem.extend(values))
+    result["f_n"] = _grid(np.ravel(problem.extend(values)))
     if algebra.unit is not None:
-        result["f_n_unital"] = vector_out(problem.extend_unital(values))
+        result["f_n_unital"] = _grid(np.ravel(problem.extend_unital(values)))
     bound_values = payload.get("bound_functional")
     if bound_values is not None:
         g = vector_in(bound_values, "payload.bound_functional")
-        result["f_max"] = vector_out(problem.f_max(values, g))
+        result["f_max"] = _grid(np.ravel(problem.f_max(values, g)))
     return "ok", result
 
 
@@ -279,9 +353,10 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tu
         raise CliInputError("payload: operators and vectors must be lists")
     mats = [matrix_in(o, f"payload.operators[{j}]") for j, o in enumerate(ops)]
     xs = [vector_in(v, f"payload.vectors[{j}]") for j, v in enumerate(vecs)]
-    gap = schwarz.schwarz_gap(mats, xs, cfg)
-    iterations = int(payload.get("iterations", 200))
-    estimate = schwarz.minimal_constant_estimate(mats, iterations, seed, cfg)
+    family, xs = schwarz._checked_family(mats, xs, cfg)
+    gap = family.gap(xs)
+    iterations = _int_in(payload.get("iterations", 200), "payload.iterations")
+    estimate = family.estimate(iterations, seed)
     result = {
         "lhs": gap.lhs,
         "rhs": gap.rhs,
@@ -303,13 +378,76 @@ _RUNNERS = {
 }
 
 
-def _emit(report: dict, out_path: str | None) -> None:
-    text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _grid_text(grid: np.ndarray, indent: int) -> str:
+    """``json.dumps(grid.tolist(), indent=2)`` for a non-empty grid whose
+    opening bracket sits on a line indented by ``indent`` spaces.
+
+    The entries are rendered by ``float.__repr__``, as json renders them,
+    and joined once with the separators between them: between two items
+    of the axis ``closed`` places from the last, ``closed`` lists end and
+    as many begin.
+    """
+    ndim = grid.ndim
+
+    def pad(depth: int) -> str:
+        return "\n" + " " * (indent + 2 * depth)
+
+    seps: list[str] = []
+    for closed, length in enumerate(grid.shape[::-1]):
+        sep = (
+            "".join(pad(ndim - 1 - k) + "]" for k in range(closed))
+            + ","
+            + "".join(pad(ndim - closed + k) + "[" for k in range(closed))
+            + pad(ndim)
+        )
+        seps = (seps + [sep]) * (length - 1) + seps
+    parts = [""] * (2 * grid.size + 1)
+    parts[0] = "[" + "".join(pad(k) + "[" for k in range(1, ndim)) + pad(ndim)
+    parts[1::2] = map(float.__repr__, grid.ravel().tolist())
+    parts[2:-1:2] = seps
+    parts[-1] = "".join(pad(k) + "]" for k in range(ndim - 1, -1, -1))
+    return "".join(parts)
+
+
+def _render(report: dict) -> str:
+    """The report's bytes: ``json.dumps(report, sort_keys=True, indent=2,
+    allow_nan=False)`` and a newline, each array grid written as nested lists.
+
+    json writes the report with every non-empty grid as a placeholder
+    string, lengthened until no other string of the report contains it;
+    each placeholder is then replaced by its grid's text, indented as the
+    placeholder's line.  Raises ValueError for a non-finite number, before
+    anything is written.
+    """
+    grids: list[np.ndarray] = []
+    token = "\0"
+
+    def placeholder(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if not obj.size:
+            return obj.tolist()
+        if not np.isfinite(obj).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        grids.append(obj)
+        return token
+
+    while True:
+        grids.clear()
+        text = json.dumps(
+            report, sort_keys=True, indent=2, allow_nan=False, default=placeholder
+        )
+        pieces = text.split(json.dumps(token))
+        if len(pieces) == len(grids) + 1:
+            break
+        token += "\0"
+    out = [pieces[0]]
+    for grid, before, after in zip(grids, pieces, pieces[1:]):
+        line = before[before.rfind("\n") + 1 :]
+        out.append(_grid_text(grid, len(line) - len(line.lstrip(" "))))
+        out.append(after)
+    out.append("\n")
+    return "".join(out)
 
 
 def _report(status: str, command: str, result: dict, diagnostics: list[str]) -> dict:
@@ -337,18 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> tuple[str, dict, list[str]]:
+    """The status, result and diagnostics of one command."""
     command = args.command
     try:
         with open(args.input, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        _emit(
-            _report("invalid_input", command, {}, [f"cannot read problem file: {exc}"]),
-            args.out,
-        )
-        return 1
+    except (OSError, ValueError, RecursionError) as exc:
+        return "invalid_input", {}, [f"cannot read problem file: {exc}"]
 
     try:
         if not isinstance(data, dict):
@@ -366,29 +500,40 @@ def main(argv=None) -> int:
         if not isinstance(payload, dict):
             raise CliInputError("payload must be an object")
         cfg = _tolerances(args, data.get("tolerances"))
-        seed = args.seed if args.seed is not None else int(data.get("seed", 0))
+        seed = args.seed if args.seed is not None else _int_in(data.get("seed", 0), "seed")
         status, result = _RUNNERS[command](payload, cfg, seed, kind)
     except KeyError as exc:
-        _emit(_report("invalid_input", command, {}, [f"missing field {exc}"]), args.out)
-        return 1
+        return "invalid_input", {}, [f"missing field {exc}"]
     except (CliInputError, InvalidInput, ValueError) as exc:
-        _emit(_report("invalid_input", command, {}, [str(exc)]), args.out)
-        return 1
+        return "invalid_input", {}, [str(exc)]
     except Infeasible as exc:
-        result = {"reason": str(exc)}
         cert = getattr(exc, "certificate", None)
-        if cert is not None:
-            result["witness"] = vector_out(np.asarray(cert).reshape(-1))
-        else:
-            result["witness"] = str(exc)
-        _emit(_report("not_extendible", command, result, [str(exc)]), args.out)
-        return 2
+        witness = str(exc) if cert is None else _grid(np.ravel(cert))
+        return "not_extendible", {"reason": str(exc), "witness": witness}, [str(exc)]
     except KvnError as exc:
-        _emit(_report("invalid_input", command, {}, [str(exc)]), args.out)
-        return 1
+        return "invalid_input", {}, [str(exc)]
+    return status, result, []
 
-    _emit(_report(status, command, result, []), args.out)
-    return 0 if status == "ok" else 2
+
+_EXIT_CODES = {"ok": 0, "invalid_input": 1, "not_extendible": 2}
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    status, result, diagnostics = _run(args)
+    try:
+        text = _render(_report(status, args.command, result, diagnostics))
+    except ValueError as exc:  # a result that overflowed to inf or nan
+        status = "invalid_input"
+        text = _render(
+            _report(status, args.command, {}, [f"result is not representable in JSON: {exc}"])
+        )
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+    return _EXIT_CODES[status]
 
 
 if __name__ == "__main__":

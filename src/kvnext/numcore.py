@@ -195,7 +195,12 @@ def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     square root would carry sqrt(machine-eps) noise in kernel directions
     and corrupt downstream range decisions.
     """
-    lam, u = _kept(_psd_eigen(m, cfg), cfg)
+    return _sqrt(_psd_eigen(m, cfg), cfg)
+
+
+def _sqrt(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """:func:`psd_sqrt` read off the eigendecomposition of a PSD matrix."""
+    lam, u = _kept(eig, cfg)
     s = (u * np.sqrt(lam)) @ u.conj().T
     return 0.5 * (s + s.conj().T)
 

@@ -29,46 +29,80 @@ class GapReport:
     constant: float
 
 
-def _square_family(ops) -> list[np.ndarray]:
-    """The A_j as matrices of one common square shape."""
-    if not ops:
-        raise ShapeMismatch("need at least one operator")
-    mats = [nc.as_matrix(a, f"A_{j}") for j, a in enumerate(ops)]
-    n = mats[0].shape[0]
-    for j, m in enumerate(mats):
-        if m.shape != (n, n):
-            raise ShapeMismatch(f"A_{j} has shape {m.shape}, expected {(n, n)}")
-    return mats
-
-
 def _not_psd(j: int) -> NotPsd:
     return NotPsd(f"A_{j} is not positive semidefinite within tolerance")
 
 
-def _checked_family(ops, vecs, cfg: ToleranceConfig):
+@dataclass(frozen=True)
+class _Family:
+    """A_1..A_k of one common square shape, validated once: each A_j is
+    tested for positivity inside the one ``eigh`` that also yields its
+    square root, so the gap and the estimate read the same factorizations."""
+
+    mats: list[np.ndarray]
+    eigens: list[nc.HermitianEigen]
+    cfg: ToleranceConfig
+
+    @classmethod
+    def validated(cls, ops, cfg: ToleranceConfig) -> _Family:
+        if not ops:
+            raise ShapeMismatch("need at least one operator")
+        mats = [nc.as_matrix(a, f"A_{j}") for j, a in enumerate(ops)]
+        n = mats[0].shape[0]
+        for j, m in enumerate(mats):
+            if m.shape != (n, n):
+                raise ShapeMismatch(f"A_{j} has shape {m.shape}, expected {(n, n)}")
+        eigens = []
+        for j, m in enumerate(mats):
+            try:
+                eigens.append(nc._psd_eigen(m, cfg))
+            except NotPsd as exc:
+                raise _not_psd(j) from exc
+        return cls(mats, eigens, cfg)
+
+    def gap(self, xs: list[np.ndarray]) -> GapReport:
+        total = sum(self.mats)
+        lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(self.mats, xs))) ** 2)
+        ev = np.linalg.eigvalsh(0.5 * (total + total.conj().T))
+        constant = float(max(np.max(ev), 0.0)) if ev.size else 0.0
+        forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(self.mats, xs))
+        return GapReport(lhs=lhs, rhs=constant * forms, constant=constant)
+
+    def estimate(self, iterations: int, seed: int) -> float:
+        v = np.vstack([nc._sqrt(eig, self.cfg) for eig in self.eigens])
+        coupling = v @ v.conj().T
+        rng = np.random.default_rng(seed)
+        h = rng.standard_normal(coupling.shape[0]) + 1j * rng.standard_normal(
+            coupling.shape[0]
+        )
+        estimate = 0.0
+        for _ in range(max(int(iterations), 1)):
+            h = coupling @ h
+            norm = np.linalg.norm(h)
+            if norm <= 0.0:
+                return 0.0
+            h = h / norm
+            estimate = float(np.linalg.norm(v.conj().T @ h) ** 2)
+        return estimate
+
+
+def _checked_family(ops, vecs, cfg: ToleranceConfig) -> tuple[_Family, list[np.ndarray]]:
+    """The validated family and the x_j, checked in that order."""
     if len(ops) != len(vecs) or not ops:
         raise ShapeMismatch("need equally many operators and vectors, at least one")
-    mats = _square_family(ops)
-    n = mats[0].shape[0]
-    for j, m in enumerate(mats):
-        if not nc.is_psd(m, cfg):
-            raise _not_psd(j)
+    family = _Family.validated(ops, cfg)
+    n = family.mats[0].shape[0]
     xs = [nc.as_vector(x, f"x_{j}") for j, x in enumerate(vecs)]
     for j, x in enumerate(xs):
         if x.size != n:
             raise ShapeMismatch(f"x_{j} has length {x.size}, expected {n}")
-    return mats, xs
+    return family, xs
 
 
 def schwarz_gap(ops, vecs, cfg: ToleranceConfig = DEFAULT_TOL) -> GapReport:
     """Evaluate both sides of the inequality for one family of vectors."""
-    mats, xs = _checked_family(ops, vecs, cfg)
-    total = sum(mats)
-    lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(mats, xs))) ** 2)
-    ev = np.linalg.eigvalsh(0.5 * (total + total.conj().T))
-    constant = float(max(np.max(ev), 0.0)) if ev.size else 0.0
-    forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(mats, xs))
-    return GapReport(lhs=lhs, rhs=constant * forms, constant=constant)
+    family, xs = _checked_family(ops, vecs, cfg)
+    return family.gap(xs)
 
 
 def minimal_constant_estimate(
@@ -81,24 +115,4 @@ def minimal_constant_estimate(
     returned Rayleigh quotient is a certified lower bound that increases
     to || sum_j A_j || with the iteration count.
     """
-    roots = []
-    for j, m in enumerate(_square_family(ops)):
-        try:
-            roots.append(nc.psd_sqrt(m, cfg))
-        except NotPsd as exc:
-            raise _not_psd(j) from exc
-    v = np.vstack(roots)
-    coupling = v @ v.conj().T
-    rng = np.random.default_rng(seed)
-    h = rng.standard_normal(coupling.shape[0]) + 1j * rng.standard_normal(
-        coupling.shape[0]
-    )
-    estimate = 0.0
-    for _ in range(max(int(iterations), 1)):
-        h = coupling @ h
-        norm = np.linalg.norm(h)
-        if norm <= 0.0:
-            return 0.0
-        h = h / norm
-        estimate = float(np.linalg.norm(v.conj().T @ h) ** 2)
-    return estimate
+    return _Family.validated(ops, cfg).estimate(iterations, seed)

@@ -238,3 +238,77 @@ def test_not_extendible_reports_carry_witness(tmp_path):
         report = json.loads(out.read_text())
         assert report["status"] == "not_extendible"
         assert "witness" in report["result"]
+
+
+@pytest.mark.parametrize(
+    "name, path, value, message",
+    [
+        ("check_running2", ("payload", "dim"), [2], "payload.dim: expected an integer"),
+        ("check_running2", ("payload", "dim"), None, "payload.dim: expected an integer"),
+        ("check_running2", ("seed",), [1], "seed: expected an integer"),
+        ("check_running2", ("tolerances",), {"cmp_tol": [1]},
+         "tolerances.cmp_tol: expected a number"),
+        ("extend_bounded_3i", ("payload", "sample_count"), [3],
+         "payload.sample_count: expected an integer"),
+        # integer literals of 401 digits, beyond the float range
+        ("check_running2", ("tolerances",), {"cmp_tol": 10**400},
+         "tolerances.cmp_tol: number out of range"),
+        ("check_running2", ("payload", "action", 0, 0, 0), 10**400,
+         "payload.action: number out of range"),
+    ],
+    ids=["dim-list", "dim-null", "seed-list", "tolerance-list", "sample-count-list",
+         "tolerance-401-digits", "entry-401-digits"],
+)
+def test_malformed_field_is_invalid_input(name, path, value, message, tmp_path):
+    problem = json.loads((FIXTURES / f"{name}.json").read_text())
+    holder = problem
+    for key in path[:-1]:
+        holder = holder[key]
+    holder[path[-1]] = value
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main([CORPUS[name][0], str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "invalid_input"
+    assert report["diagnostics"] == [message]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"schema_version": "1", "seed": 1' + b"0" * 5000 + b"}",  # beyond int's digit limit
+        b'{"schema_version": "\xff"}',  # not UTF-8
+    ],
+    ids=["5001-digits", "not-utf8"],
+)
+def test_unreadable_problem_file_is_invalid_input(content, tmp_path):
+    src = tmp_path / "problem.json"
+    src.write_bytes(content)
+    out = tmp_path / "r.json"
+    assert cli.main(["check", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "invalid_input"
+    assert report["diagnostics"][0].startswith("cannot read problem file: ")
+
+
+def test_result_out_of_float_range_is_invalid_input(tmp_path):
+    # D = 1e-200 e_1, Ad = 1e200 e_1: a_n = Ad G^+ Ad† has the entry 1e400
+    problem = {
+        "schema_version": "1",
+        "kind": "partial_operator",
+        "payload": {
+            "dim": 2,
+            "domain_basis": [[[1e-200, 0.0]], [[0.0, 0.0]]],
+            "action": [[[1e200, 0.0]], [[0.0, 0.0]]],
+        },
+    }
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["extend", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert report["status"] == "invalid_input"
+    assert report["result"] == {}
+    assert report["diagnostics"][0].startswith("result is not representable in JSON: ")

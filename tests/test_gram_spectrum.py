@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -89,6 +90,24 @@ def test_kernel_command_tests_positivity_once(lapack_calls, tmp_path):
     assert cli.main(argv) == 0
     # the report's positive_definite; a_n is PSD by construction
     assert lapack_calls["eigvalsh"] == 1
+
+
+def test_schwarz_command_factors_each_operator_once(lapack_calls, tmp_path):
+    argv = ["schwarz", str(FIXTURES / "schwarz_diag.json"), "--out", str(tmp_path / "r.json")]
+    assert cli.main(argv) == 0
+    # one eigh per A_j for its PSD test and its square root, one eigvalsh of the sum
+    assert (lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (1, 1)
+
+    rng = rng_for(32)
+    k = 3
+    problem = json.loads((FIXTURES / "schwarz_diag.json").read_text())
+    problem["payload"]["operators"] = [cli.matrix_out(random_psd(rng, 4)) for _ in range(k)]
+    problem["payload"]["vectors"] = [cli.vector_out(random_vector(rng, 4)) for _ in range(k)]
+    src = tmp_path / "family.json"
+    src.write_text(json.dumps(problem))
+    lapack_calls.clear()
+    assert cli.main(["schwarz", str(src), "--out", str(tmp_path / "r.json")]) == 0
+    assert (lapack_calls["eigh"], lapack_calls["eigvalsh"]) == (k, 1)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
