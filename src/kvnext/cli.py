@@ -19,10 +19,17 @@ import numpy as np
 from . import extension_set, kernels, partial_op, schwarz, star_algebra
 from . import commutation as commutation_mod
 from . import kvn as kvn_mod
-from .errors import Infeasible, InvalidInput, KvnError
+from .errors import Infeasible, InvalidInput
 from .numcore import DEFAULT_TOL, STRICT_TOL, ToleranceConfig
 
 SCHEMA_VERSION = "1"
+
+# Caps checked before anything is allocated: the space dimension n (an n x n
+# result takes 16 n^2 bytes, 256 MiB at the cap), the samples drawn (each an
+# n x n matrix in the report) and the power-iteration steps.
+MAX_DIM = 4096
+MAX_SAMPLES = 1000
+MAX_ITERATIONS = 100_000
 
 KINDS = {
     "check": ("partial_operator",),
@@ -59,11 +66,14 @@ def _scalar_in(obj, where: str) -> complex:
     raise CliInputError(f"{where}: expected a number or [re, im] pair")
 
 
-def _int_in(obj, where: str) -> int:
+def _int_in(obj, where: str, low: int | None = None, high: int | None = None) -> int:
+    """An integer, in [low, high] when ``low`` is given."""
     if type(obj) is float and obj.is_integer():
-        return int(obj)
+        obj = int(obj)
     if type(obj) is not int:
         raise CliInputError(f"{where}: expected an integer")
+    if low is not None and not low <= obj <= high:
+        raise CliInputError(f"{where}: expected an integer from {low} to {high}")
     return obj
 
 
@@ -131,13 +141,13 @@ def matrix_in(obj, where: str, cols: int | None = None) -> np.ndarray:
 
 def _mult_in(obj, m: int) -> np.ndarray:
     """The m x m x m structure tensor: one grid read, or the walk that
-    names the first malformed entry."""
+    names the first malformed entry and holds no more than it has read."""
     grid = _grid_in(obj, 3)
     if grid is not None and grid.shape == (m, m, m):
         return grid
     if not isinstance(obj, list) or len(obj) != m:
         raise CliInputError("payload.mult: expected m lists of m vectors")
-    mult = np.zeros((m, m, m), dtype=np.complex128)
+    vecs = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != m:
             raise CliInputError("payload.mult: expected m lists of m vectors")
@@ -145,23 +155,14 @@ def _mult_in(obj, m: int) -> np.ndarray:
             vec = vector_in(entry, f"payload.mult[{i}][{j}]")
             if vec.size != m:
                 raise CliInputError(f"payload.mult[{i}][{j}]: expected length {m}")
-            mult[i, j] = vec
-    return mult
+            vecs.append(vec)
+    return np.array(vecs).reshape(m, m, m)
 
 
 def _grid(m) -> np.ndarray:
     """``m`` as one float64 grid of [re, im] pairs, the form reports carry."""
     a = np.asarray(m, dtype=np.complex128)
     return np.stack([a.real, a.imag], -1)
-
-
-def matrix_out(m) -> list:
-    """Nested lists of [re, im] pairs, one level per axis of ``m``."""
-    return _grid(m).tolist()
-
-
-def vector_out(v) -> list:
-    return matrix_out(np.ravel(v))
 
 
 def ext_real_out(x: float):
@@ -197,23 +198,26 @@ def _tolerances(args, file_tol: dict | None) -> ToleranceConfig:
         raise CliInputError(str(exc))
 
 
-def _partial_operator_in(payload: dict, where: str = "payload") -> partial_op.PartialOperator:
-    n = _int_in(payload["dim"], f"{where}.dim")
-    basis = matrix_in(payload["domain_basis"], f"{where}.domain_basis")
-    action = matrix_in(payload["action"], f"{where}.action")
-    if basis.size == 0:
-        basis = basis.reshape(n, -1) if basis.shape[0] in (0, n) else basis
-        action = action.reshape(n, -1) if action.shape[0] in (0, n) else action
-        if basis.shape[0] == 0:
-            basis = np.zeros((n, 0), dtype=np.complex128)
-            action = np.zeros((n, 0), dtype=np.complex128)
+def _partial_operator_in(obj, where: str, n: int | None = None) -> partial_op.PartialOperator:
+    """The partial operator of object ``obj`` on C^n, n read off its ``dim``
+    unless given; ``[]`` is an n x 0 domain basis or action."""
+    if not isinstance(obj, dict):
+        raise CliInputError(f"{where}: expected an object")
+    if n is None:
+        n = _int_in(obj["dim"], f"{where}.dim", 1, MAX_DIM)
+
+    def columns(key: str) -> np.ndarray:
+        m = matrix_in(obj[key], f"{where}.{key}")
+        return np.zeros((n, 0), dtype=np.complex128) if m.shape == (0, 0) else m
+
+    basis, action = columns("domain_basis"), columns("action")
     if basis.shape[0] != n:
         raise CliInputError(f"{where}: domain_basis must have {n} rows")
     return partial_op.PartialOperator(basis, action)
 
 
 def run_check(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    op = _partial_operator_in(payload)
+    op = _partial_operator_in(payload, "payload")
     report = partial_op.is_extendible(op, cfg)
     result = {
         "extendible": report.extendible,
@@ -228,13 +232,10 @@ def run_check(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tupl
 
 def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
     if kind == "bounded_extension":
-        inner = payload.get("partial_operator")
-        if not isinstance(inner, dict):
-            raise CliInputError("payload.partial_operator: expected an object")
-        op = _partial_operator_in(inner, "payload.partial_operator")
+        op = _partial_operator_in(payload.get("partial_operator"), "payload.partial_operator")
         bound = matrix_in(payload["bound"], "payload.bound")
     else:
-        op = _partial_operator_in(payload)
+        op = _partial_operator_in(payload, "payload")
         bound = None
     res = kvn_mod.krein_von_neumann(op, cfg)
     result = {
@@ -247,7 +248,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         result["a_max"] = _grid(interval.a_max)
         result["degenerate"] = interval.degenerate
         count = payload.get("sample_count")
-        count = 0 if count is None else _int_in(count, "payload.sample_count")
+        count = 0 if count is None else _int_in(count, "payload.sample_count", 0, MAX_SAMPLES)
         if count:
             samples = extension_set._samples(interval, count, seed, cfg)
             result["samples"] = [_grid(s) for s in samples]
@@ -273,11 +274,9 @@ def run_complete(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> t
 
 
 def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    m = _int_in(payload["set_size"], "payload.set_size")
-    n = _int_in(payload["fiber_dim"], "payload.fiber_dim")
-    inner = dict(payload)
-    inner["dim"] = m * n
-    op = _partial_operator_in(inner)
+    m = _int_in(payload["set_size"], "payload.set_size", 1, MAX_DIM)
+    n = _int_in(payload["fiber_dim"], "payload.fiber_dim", 1, MAX_DIM // m)
+    op = _partial_operator_in(payload, "payload", m * n)
     problem = kernels.KernelProblem(m=m, n=n, sub=op)
     kernel = kernels.extend_kernel(problem, cfg)
     result = {
@@ -289,7 +288,7 @@ def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
 
 
 def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    m = _int_in(payload["dim"], "payload.dim")
+    m = _int_in(payload["dim"], "payload.dim", 1, MAX_DIM)
     mult_rows = payload["mult"]
     invol = matrix_in(payload["invol"], "payload.invol")
     ideal_basis = matrix_in(payload["ideal_basis"], "payload.ideal_basis")
@@ -329,10 +328,7 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
 
 
 def run_commutation(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    inner = payload.get("partial_operator")
-    if not isinstance(inner, dict):
-        raise CliInputError("payload.partial_operator: expected an object")
-    op = _partial_operator_in(inner, "payload.partial_operator")
+    op = _partial_operator_in(payload.get("partial_operator"), "payload.partial_operator")
     b = matrix_in(payload["b"], "payload.b")
     c = matrix_in(payload["c"], "payload.c")
     report = commutation_mod.verify_commutation(op, b, c, cfg)
@@ -355,7 +351,9 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tu
     xs = [vector_in(v, f"payload.vectors[{j}]") for j, v in enumerate(vecs)]
     family, xs = schwarz._checked_family(mats, xs, cfg)
     gap = family.gap(xs)
-    iterations = _int_in(payload.get("iterations", 200), "payload.iterations")
+    iterations = _int_in(
+        payload.get("iterations", 200), "payload.iterations", 0, MAX_ITERATIONS
+    )
     estimate = family.estimate(iterations, seed)
     result = {
         "lhs": gap.lhs,
@@ -409,43 +407,42 @@ def _grid_text(grid: np.ndarray, indent: int) -> str:
     return "".join(parts)
 
 
-def _render(report: dict) -> str:
-    """The report's bytes: ``json.dumps(report, sort_keys=True, indent=2,
-    allow_nan=False)`` and a newline, each array grid written as nested lists.
-
-    json writes the report with every non-empty grid as a placeholder
-    string, lengthened until no other string of the report contains it;
-    each placeholder is then replaced by its grid's text, indented as the
-    placeholder's line.  Raises ValueError for a non-finite number, before
-    anything is written.
-    """
-    grids: list[np.ndarray] = []
-    token = "\0"
-
-    def placeholder(obj):
-        if not isinstance(obj, np.ndarray):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if not obj.size:
-            return obj.tolist()
-        if not np.isfinite(obj).all():
+def _emit(value, indent: int, out: list[str]) -> None:
+    """Append to ``out`` the pieces of ``json.dumps(value, sort_keys=True,
+    indent=2, allow_nan=False)`` for a value on a line indented by
+    ``indent`` spaces, each array grid as its nested lists.  Raises
+    ValueError for a non-finite number.  The pieces are joined once, so a
+    grid's text (hundreds of kB at n = 48) is not copied at every level."""
+    if isinstance(value, np.ndarray) and value.size:
+        if not np.isfinite(value).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        grids.append(obj)
-        return token
+        out.append(_grid_text(value, indent))
+        return
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if isinstance(value, dict) and value:
+        items = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+        brackets = "{}"
+    elif isinstance(value, list) and value:
+        items = [("", v) for v in value]
+        brackets = "[]"
+    else:
+        out.append(json.dumps(value, allow_nan=False))
+        return
+    pad = "\n" + " " * indent
+    sep = brackets[0]
+    for key, item in items:
+        out.append(sep + pad + "  " + key)
+        _emit(item, indent + 2, out)
+        sep = ","
+    out.append(pad + brackets[1])
 
-    while True:
-        grids.clear()
-        text = json.dumps(
-            report, sort_keys=True, indent=2, allow_nan=False, default=placeholder
-        )
-        pieces = text.split(json.dumps(token))
-        if len(pieces) == len(grids) + 1:
-            break
-        token += "\0"
-    out = [pieces[0]]
-    for grid, before, after in zip(grids, pieces, pieces[1:]):
-        line = before[before.rfind("\n") + 1 :]
-        out.append(_grid_text(grid, len(line) - len(line.lstrip(" "))))
-        out.append(after)
+
+def _render(report: dict) -> str:
+    """The report's bytes: :func:`_emit`'s pieces and a newline, joined once.
+    Raises ValueError for a non-finite number, before anything is written."""
+    out: list[str] = []
+    _emit(report, 0, out)
     out.append("\n")
     return "".join(out)
 
@@ -510,8 +507,6 @@ def _run(args) -> tuple[str, dict, list[str]]:
         cert = getattr(exc, "certificate", None)
         witness = str(exc) if cert is None else _grid(np.ravel(cert))
         return "not_extendible", {"reason": str(exc), "witness": witness}, [str(exc)]
-    except KvnError as exc:
-        return "invalid_input", {}, [str(exc)]
     return status, result, []
 
 

@@ -154,15 +154,15 @@ def _samples(
     return samples
 
 
-def _kernel_inclusion(a11: np.ndarray, a21: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """ker A11 <= ker A21, tested on the sub-cutoff eigenvectors of A11.
+def _kernel_inclusion(eig: nc.HermitianEigen, a21: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """ker A11 <= ker A21, tested on the sub-cutoff eigenvectors of A11
+    (``eig`` is its eigendecomposition).
 
     The cutoff is scaled against both blocks so an A11 that is pure
     rounding noise next to A21 is treated as zero.  It scales with
     ||A21|| rather than gram_spectrum's sigma(D) sigma(Ad) because this
     criterion is evaluated on the blocks, independently of that spectrum.
     """
-    eig = nc.hermitian_eigen(a11, cfg)
     top = float(np.max(eig.eigenvalues)) if eig.eigenvalues.size else 0.0
     scale = max(top, float(np.linalg.norm(a21, 2)) if a21.size else 0.0)
     cutoff = cfg.rank_rel_eps * scale
@@ -205,16 +205,19 @@ def halmos_complete(
     except InvalidOperator as exc:
         raise NotPsd("A11 is not positive semidefinite within tolerance") from exc
 
-    bounded = _kernel_inclusion(a11m, a21m, cfg)
+    # One eigendecomposition of A11 serves the block-side criteria; they do not
+    # read spec's, so the three verdicts stay independent.
+    eig = nc._psd_eigen(a11m, cfg)
+    bounded = _kernel_inclusion(eig, a21m, cfg)
     if bounded:
-        s = nc.psd_sqrt_pinv(a11m, cfg)
+        s = nc._sqrt_pinv(eig, cfg)
         coupling = s @ (a21m.conj().T @ a21m) @ s
         ev = np.linalg.eigvalsh(0.5 * (coupling + coupling.conj().T))
         bound_constant = float(max(np.max(ev), 0.0)) if ev.size else 0.0
     else:
         bound_constant = float("inf")
 
-    range_condition = nc.range_included(a21m.conj().T, nc.psd_sqrt(a11m, cfg), cfg)
+    range_condition = nc.range_included(a21m.conj().T, nc._sqrt(eig, cfg), cfg)
 
     a22_min = None
     completion = None

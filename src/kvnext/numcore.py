@@ -207,7 +207,12 @@ def _sqrt(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
 
 def psd_sqrt_pinv(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Pseudo-inverse square root M^{+1/2}, supported on the numerical range."""
-    lam, u = _kept(_psd_eigen(m, cfg), cfg)
+    return _sqrt_pinv(_psd_eigen(m, cfg), cfg)
+
+
+def _sqrt_pinv(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+    """:func:`psd_sqrt_pinv` read off the eigendecomposition of a PSD matrix."""
+    lam, u = _kept(eig, cfg)
     return (u / np.sqrt(lam)) @ u.conj().T
 
 

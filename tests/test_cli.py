@@ -1,5 +1,6 @@
 import json
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -144,7 +145,7 @@ def test_report_round_trip_is_exact(tmp_path):
     out = tmp_path / "r.json"
     run("extend_bounded_3i", out)
     report = json.loads(out.read_text())
-    rebuilt = cli.matrix_out(_matrix(report["result"]["a_max"]))
+    rebuilt = cli._grid(_matrix(report["result"]["a_max"])).tolist()
     assert rebuilt == report["result"]["a_max"]
 
 
@@ -240,6 +241,14 @@ def test_not_extendible_reports_carry_witness(tmp_path):
         assert "witness" in report["result"]
 
 
+# 3000 empty rows: a 12 KB file whose structure tensor would take 402 GiB
+FUNCTIONAL_EMPTY_ROWS = {
+    **json.loads((FIXTURES / "functional_m2.json").read_text())["payload"],
+    "dim": 3000,
+    "mult": [[]] * 3000,
+}
+
+
 @pytest.mark.parametrize(
     "name, path, value, message",
     [
@@ -255,9 +264,31 @@ def test_not_extendible_reports_carry_witness(tmp_path):
          "tolerances.cmp_tol: number out of range"),
         ("check_running2", ("payload", "action", 0, 0, 0), 10**400,
          "payload.action: number out of range"),
+        ("check_running2", ("payload", "dim"), 0, "payload.dim: expected an integer from 1 to 4096"),
+        ("check_running2", ("payload", "dim"), -1,
+         "payload.dim: expected an integer from 1 to 4096"),
+        ("extend_running2", ("payload", "dim"), 100000,
+         "payload.dim: expected an integer from 1 to 4096"),
+        ("kernel_m2_ones", ("payload", "set_size"), 100000,
+         "payload.set_size: expected an integer from 1 to 4096"),
+        ("kernel_m2_ones", ("payload", "fiber_dim"), 2049,
+         "payload.fiber_dim: expected an integer from 1 to 2048"),
+        ("functional_m2", ("payload",), FUNCTIONAL_EMPTY_ROWS,
+         "payload.mult: expected m lists of m vectors"),
+        ("extend_bounded_3i", ("payload", "sample_count"), -1,
+         "payload.sample_count: expected an integer from 0 to 1000"),
+        ("extend_bounded_3i", ("payload", "sample_count"), 1001,
+         "payload.sample_count: expected an integer from 0 to 1000"),
+        ("schwarz_diag", ("payload", "iterations"), -1,
+         "payload.iterations: expected an integer from 0 to 100000"),
+        ("schwarz_diag", ("payload", "iterations"), 100001,
+         "payload.iterations: expected an integer from 0 to 100000"),
     ],
     ids=["dim-list", "dim-null", "seed-list", "tolerance-list", "sample-count-list",
-         "tolerance-401-digits", "entry-401-digits"],
+         "tolerance-401-digits", "entry-401-digits", "dim-0", "dim-negative", "dim-over-cap",
+         "set-size-over-cap", "set-size-times-fiber-dim-over-cap", "functional-empty-mult-rows",
+         "sample-count-negative", "sample-count-over-cap", "iterations-negative",
+         "iterations-over-cap"],
 )
 def test_malformed_field_is_invalid_input(name, path, value, message, tmp_path):
     problem = json.loads((FIXTURES / f"{name}.json").read_text())
@@ -272,6 +303,33 @@ def test_malformed_field_is_invalid_input(name, path, value, message, tmp_path):
     report = json.loads(out.read_text())
     assert report["status"] == "invalid_input"
     assert report["diagnostics"] == [message]
+
+
+@pytest.mark.parametrize(
+    "command, problem",
+    [
+        ("extend", {"kind": "partial_operator",
+                    "payload": {"dim": 100000, "domain_basis": [], "action": []}}),
+        ("kernel", {"kind": "kernel_problem",
+                    "payload": {"set_size": 100000, "fiber_dim": 1,
+                                "domain_basis": [], "action": []}}),
+        ("functional", {"kind": "star_algebra_problem", "payload": FUNCTIONAL_EMPTY_ROWS}),
+    ],
+    ids=["extend", "kernel", "functional"],
+)
+def test_oversized_input_is_rejected_before_allocation(command, problem, tmp_path):
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps({"schema_version": "1", **problem}))
+    out = tmp_path / "r.json"
+    tracemalloc.start()
+    try:
+        code = cli.main([command, str(src), "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 1
+    assert json.loads(out.read_text())["status"] == "invalid_input"
+    assert peak < 4 * 2**20
 
 
 @pytest.mark.parametrize(

@@ -187,8 +187,8 @@ def first_middle_last(obj):
     return [paths[0], paths[len(paths) // 2], paths[-1]]
 
 
-MATRIX = cli.matrix_out(np.arange(6).reshape(2, 3) * (1 - 1j))
-VECTOR = cli.vector_out(np.arange(3) * (1 + 2j))
+MATRIX = cli._grid(np.arange(6).reshape(2, 3) * (1 - 1j)).tolist()
+VECTOR = cli._grid(np.arange(3) * (1 + 2j)).tolist()
 
 
 @pytest.mark.parametrize("bad", NON_NUMBERS)

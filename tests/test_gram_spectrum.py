@@ -66,6 +66,9 @@ def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
     b = random_psd(rng, 5, rank=3)
     halmos_complete(b[:3, :3], b[3:, :3])
     assert lapack_calls["eigvalsh"] <= 1
+    # gram_spectrum's eigh of G = A11, one eigh of A11 for the three block-side
+    # criteria, and the range projector's eigh of S S† for S = A11^{1/2}
+    assert lapack_calls["eigh"] == 3
 
     k = 3
     ops = [random_psd(rng, 4) for _ in range(k)]
@@ -101,8 +104,8 @@ def test_schwarz_command_factors_each_operator_once(lapack_calls, tmp_path):
     rng = rng_for(32)
     k = 3
     problem = json.loads((FIXTURES / "schwarz_diag.json").read_text())
-    problem["payload"]["operators"] = [cli.matrix_out(random_psd(rng, 4)) for _ in range(k)]
-    problem["payload"]["vectors"] = [cli.vector_out(random_vector(rng, 4)) for _ in range(k)]
+    problem["payload"]["operators"] = [cli._grid(random_psd(rng, 4)).tolist() for _ in range(k)]
+    problem["payload"]["vectors"] = [cli._grid(random_vector(rng, 4)).tolist() for _ in range(k)]
     src = tmp_path / "family.json"
     src.write_text(json.dumps(problem))
     lapack_calls.clear()
