@@ -49,9 +49,8 @@ def _hypothesis_status(
     q, r = np.linalg.qr(p.domain_basis)
     coeff = {}
     for name, m in (("B", b), ("C", c)):
-        md = m @ p.domain_basis
-        proj = q.conj().T @ md
-        if nc.fro(md - q @ proj) > cfg.cmp_tol * (1.0 + nc.fro(md)):
+        proj = nc._span_coords(m @ p.domain_basis, q, cfg)
+        if proj is None:
             return False, f"invariance: {name} does not leave the domain invariant"
         coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
     scale = cfg.cmp_tol * (

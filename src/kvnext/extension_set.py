@@ -163,16 +163,11 @@ def _kernel_inclusion(eig: nc.HermitianEigen, a21: np.ndarray, cfg: ToleranceCon
     ||A21|| rather than gram_spectrum's sigma(D) sigma(Ad) because this
     criterion is evaluated on the blocks, independently of that spectrum.
     """
-    top = float(np.max(eig.eigenvalues)) if eig.eigenvalues.size else 0.0
+    top = float(np.max(eig.eigenvalues, initial=0.0))
     scale = max(top, float(np.linalg.norm(a21, 2)) if a21.size else 0.0)
-    cutoff = cfg.rank_rel_eps * scale
-    tol = cfg.cmp_tol * (1.0 + nc.fro(a21))
-    for i, lam in enumerate(eig.eigenvalues):
-        if lam > cutoff:
-            continue
-        if np.linalg.norm(a21 @ eig.eigenvectors[:, i]) > tol:
-            return False
-    return True
+    kernel = eig.eigenvectors[:, eig.eigenvalues <= cfg.rank_rel_eps * scale]
+    images = np.linalg.norm(a21 @ kernel, axis=0)
+    return bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (1.0 + nc.fro(a21)))
 
 
 def halmos_complete(
@@ -213,11 +208,12 @@ def halmos_complete(
         s = nc._sqrt_pinv(eig, cfg)
         coupling = s @ (a21m.conj().T @ a21m) @ s
         ev = np.linalg.eigvalsh(0.5 * (coupling + coupling.conj().T))
-        bound_constant = float(max(np.max(ev), 0.0)) if ev.size else 0.0
+        bound_constant = float(np.max(ev, initial=0.0))
     else:
         bound_constant = float("inf")
 
-    range_condition = nc.range_included(a21m.conj().T, nc._sqrt(eig, cfg), cfg)
+    # ran A11^{1/2} is spanned by the eigenvectors of A11 that _sqrt keeps.
+    range_condition = nc._span_coords(a21m.conj().T, nc._kept(eig, cfg)[1], cfg) is not None
 
     a22_min = None
     completion = None

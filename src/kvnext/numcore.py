@@ -122,9 +122,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
 
 def numerical_rank(eigenvalues: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
     """Number of eigenvalues above the relative cutoff (PSD spectra)."""
-    if eigenvalues.size == 0:
-        return 0
-    top = float(np.max(eigenvalues))
+    top = float(np.max(eigenvalues, initial=0.0))
     if top <= 0.0:
         return 0
     return int(np.count_nonzero(eigenvalues > cfg.rank_rel_eps * top))
@@ -230,31 +228,22 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return is_psd(bm - am, cfg)
 
 
-def range_projector(y, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Orthogonal projector onto the column space of Y, from eigen of YY†.
-
-    The eigenvalues of YY† are squared singular values of Y, so the rank
-    cutoff is squared too (the decision happens at the level of Y's
-    singular values), floored at the rounding noise the formed product
-    itself carries.
-    """
-    ym = as_matrix(y, "Y")
-    eig = hermitian_eigen(ym @ ym.conj().T, cfg)
-    top = float(np.max(eig.eigenvalues)) if eig.eigenvalues.size else 0.0
-    if top <= 0.0:
-        return np.zeros((ym.shape[0], ym.shape[0]), dtype=np.complex128)
-    # Squared, not numerical_rank's cutoff: these eigenvalues are sigma(Y)^2.
-    rel = max(cfg.rank_rel_eps**2, 64.0 * float(np.finfo(np.float64).eps))
-    keep = eig.eigenvalues > rel * top
-    u = eig.eigenvectors[:, keep]
-    return u @ u.conj().T
+def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
+    """Coordinates q† X of X over the orthonormal columns q, or None when X
+    is not in their span: ``||X - q q† X||_F > cmp_tol * (1 + ||X||_F)``."""
+    coords = q.conj().T @ x
+    if fro(x - q @ coords) > cfg.cmp_tol * (1.0 + fro(x)):
+        return None
+    return coords
 
 
 def range_included(x, y, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether every column of X lies in the column space of Y.
 
-    Decided through the orthogonal projector P onto ran(Y):
-    ``|| (I - P) X ||_F <= cmp_tol * (1 + ||X||_F)``.
+    ran(Y) is spanned by the left singular vectors of one thin SVD of Y
+    whose singular values pass :func:`full_column_rank`'s rule,
+    sigma > rank_rel_eps * sigma_max; X must lie in their span
+    (:func:`_span_coords`).
     """
     xm = as_matrix(x, "X")
     ym = as_matrix(y, "Y")
@@ -262,6 +251,6 @@ def range_included(x, y, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
         raise ShapeMismatch(f"row counts differ: {xm.shape[0]} vs {ym.shape[0]}")
     if xm.size == 0:
         return True
-    p = range_projector(ym, cfg)
-    resid = fro(xm - p @ xm)
-    return resid <= cfg.cmp_tol * (1.0 + fro(xm))
+    u, sv, _ = np.linalg.svd(ym, full_matrices=False)
+    keep = sv > cfg.rank_rel_eps * float(np.max(sv, initial=0.0))
+    return _span_coords(xm, u[:, keep], cfg) is not None

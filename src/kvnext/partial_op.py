@@ -186,15 +186,12 @@ class GramSpectrum:
             return math.inf
         if self.r == 0:
             return 0.0
-        ev = np.linalg.eigvalsh(self.j.conj().T @ self.j)
-        return float(max(np.max(ev), 0.0))
+        return float(np.max(np.linalg.eigvalsh(self.j.conj().T @ self.j), initial=0.0))
 
     def form(self, v) -> float:
         """v† G+ v for a domain coefficient vector v; +inf when v is not in ran G."""
-        coords = self.u.conj().T @ v
-        if np.linalg.norm(v - self.u @ coords) > self.cfg.cmp_tol * (
-            1.0 + np.linalg.norm(v)
-        ):
+        coords = nc._span_coords(v, self.u, self.cfg)
+        if coords is None:
             return math.inf
         return float(np.sum(np.abs(coords) ** 2 / self.lam))
 

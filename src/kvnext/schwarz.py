@@ -63,8 +63,7 @@ class _Family:
     def gap(self, xs: list[np.ndarray]) -> GapReport:
         total = sum(self.mats)
         lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(self.mats, xs))) ** 2)
-        ev = np.linalg.eigvalsh(0.5 * (total + total.conj().T))
-        constant = float(max(np.max(ev), 0.0)) if ev.size else 0.0
+        constant = float(np.max(np.linalg.eigvalsh(0.5 * (total + total.conj().T)), initial=0.0))
         forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(self.mats, xs))
         return GapReport(lhs=lhs, rhs=constant * forms, constant=constant)
 

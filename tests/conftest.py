@@ -6,7 +6,8 @@ import pytest
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares and QR."""
+    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares and QR,
+    and, under ``norm2``, the SVD hidden in ``np.linalg.norm(x, 2)`` of a matrix."""
     calls = collections.Counter()
     for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr"):
         fn = getattr(np.linalg, name)
@@ -16,4 +17,11 @@ def lapack_calls(monkeypatch):
             return _fn(*args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counted)
+
+    def norm(x, ord=None, axis=None, keepdims=False, _fn=np.linalg.norm):
+        if ord == 2 and axis is None and np.ndim(x) == 2:
+            calls["norm2"] += 1
+        return _fn(x, ord, axis, keepdims)
+
+    monkeypatch.setattr(np.linalg, "norm", norm)
     return calls

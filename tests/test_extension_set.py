@@ -147,6 +147,13 @@ def test_halmos_rank_deficient_rejection():
     assert not report.range_condition
 
 
+@pytest.mark.parametrize("lam, solvable", [(5e-11, False), (2e-10, True)])
+def test_halmos_criteria_agree_next_to_the_cutoff(lam, solvable):
+    # lam at 0.5x and 2x the cutoff rank_rel_eps * lambda_max(A11)
+    report = halmos_complete(np.diag([1.0, lam]), np.array([[0.3, 1e-5]]))
+    assert report.completable == report.bounded == report.range_condition == solvable
+
+
 def test_halmos_errors():
     with pytest.raises(NotPsd):
         halmos_complete(np.diag([1.0, -1.0]), np.zeros((1, 2)))

@@ -41,6 +41,7 @@ def test_each_construction_factors_the_gram_once(lapack_calls):
     lapack_calls.clear()
     krein_von_neumann(p)
     assert (lapack_calls["eigh"], lapack_calls["eigvalsh"], lapack_calls["svd"]) == (1, 1, 1)
+    assert lapack_calls["norm2"] == 1  # sigma_max(Ad) for the data-scale cutoff
 
     lapack_calls.clear()
     assert in_interval(p, bound, t)
@@ -66,9 +67,12 @@ def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
     b = random_psd(rng, 5, rank=3)
     halmos_complete(b[:3, :3], b[3:, :3])
     assert lapack_calls["eigvalsh"] <= 1
-    # gram_spectrum's eigh of G = A11, one eigh of A11 for the three block-side
-    # criteria, and the range projector's eigh of S S† for S = A11^{1/2}
-    assert lapack_calls["eigh"] == 3
+    # gram_spectrum's eigh of G = A11 and one eigh of A11 for the three
+    # block-side criteria, the range condition among them
+    assert lapack_calls["eigh"] == 2
+    # sigma_max of the column for gram_spectrum's cutoff, and ||A21||_2 for
+    # the kernel-inclusion cutoff
+    assert lapack_calls["norm2"] == 2
 
     k = 3
     ops = [random_psd(rng, 4) for _ in range(k)]

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from kvnext import numcore as nc
 from kvnext.errors import NotHermitian, NotPsd, NotSquare, ShapeMismatch
-from util_gen import random_hermitian, random_psd, rng_for
+from util_gen import random_hermitian, random_psd, random_unitary, rng_for
 
 CFG = nc.DEFAULT_TOL
 
@@ -115,6 +115,22 @@ def test_range_included_examples():
     assert nc.range_included(x, y)
     with pytest.raises(ShapeMismatch):
         nc.range_included(np.zeros((3, 1)), np.zeros((4, 1)))
+
+
+@pytest.mark.parametrize("s, inside", [(5e-11, False), (1e-8, True), (1e-7, True), (1e-6, True)])
+def test_range_included_decides_at_the_singular_value_cutoff(s, inside):
+    # Y = q[:, :2] diag(1, s) v†: q[:, 1] counts as in ran Y when s passes
+    # full_column_rank's rule, s > rank_rel_eps.  No row sits between 1e-10
+    # and 1e-9: there the rounding in Y moves that direction by about eps / s,
+    # more than cmp_tol, so the span test can fail for a kept direction.
+    rng = rng_for(5)
+    q = random_unitary(rng, 3)
+    v = random_unitary(rng, 2)
+    y = (q[:, :2] * [1.0, s]) @ v.conj().T
+    assert nc.full_column_rank(y)[0] == inside
+    assert nc.range_included(q[:, 1:2], y) == inside
+    e2 = np.array([[0.0], [1.0], [0.0]])
+    assert nc.range_included(e2, np.array([[1.0, 0.0], [0.0, s], [0.0, 0.0]])) == inside
 
 
 def test_psd_sqrt_examples():
