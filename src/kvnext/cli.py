@@ -25,9 +25,10 @@ from .numcore import DEFAULT_TOL, STRICT_TOL, ToleranceConfig
 SCHEMA_VERSION = "1"
 
 # Caps checked before anything is allocated: the space dimension n (an n x n
-# result takes 16 n^2 bytes, 256 MiB at the cap), the samples drawn (each an
-# n x n matrix in the report) and the power-iteration steps.
-MAX_DIM = 4096
+# result takes 16 n^2 bytes, 16 MiB at the cap, and about 50 MB as report
+# text), the samples drawn (each an n x n matrix in the report) and the
+# power-iteration steps.
+MAX_DIM = 1024
 MAX_SAMPLES = 1000
 MAX_ITERATIONS = 100_000
 

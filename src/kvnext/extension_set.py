@@ -162,10 +162,9 @@ def _kernel_inclusion(eig: nc.HermitianEigen, a21: np.ndarray, cfg: ToleranceCon
     rounding noise next to A21 is treated as zero.  It scales with
     ||A21|| rather than gram_spectrum's sigma(D) sigma(Ad) because this
     criterion is evaluated on the blocks, independently of that spectrum.
+    ||A21|| is bracketed the same way (``numcore._above_data_cut``).
     """
-    top = float(np.max(eig.eigenvalues, initial=0.0))
-    scale = max(top, float(np.linalg.norm(a21, 2)) if a21.size else 0.0)
-    kernel = eig.eigenvectors[:, eig.eigenvalues <= cfg.rank_rel_eps * scale]
+    kernel = eig.eigenvectors[:, ~nc._above_data_cut(eig.eigenvalues, cfg, a21)]
     images = np.linalg.norm(a21 @ kernel, axis=0)
     return bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (1.0 + nc.fro(a21)))
 

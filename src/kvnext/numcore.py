@@ -19,6 +19,7 @@ Every function is pure and deterministic for a fixed input.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -128,16 +129,125 @@ def numerical_rank(eigenvalues: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) 
     return int(np.count_nonzero(eigenvalues > cfg.rank_rel_eps * top))
 
 
-def full_column_rank(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> tuple[bool, float]:
-    """Whether the columns of ``m`` are independent, and sigma_max(m).
+# Rank certificate.  Let M = fl(m† m), t = tr M and u the unit roundoff.
+# If the Cholesky factorization of M - tau t I runs to completion, then
+# lambda_min(m† m) >= (tau - slack) t, where slack bounds three roundings:
+#   * the product: fl(m† m) = m† m + E with |E| <= sqrt(2) gamma_2n |m|†|m|
+#     (the real and imaginary parts of a complex inner product are real
+#     inner products of length 2n), so ||E||_2 <= 2.9 n u t;
+#   * the shift of the diagonal: at most u (1 + tau) t;
+#   * the factorization: R† R = A + dA with |dA| <= gamma_{d+1} |R†| |R|
+#     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+#     Thm 10.3; complex arithmetic at most quadruples the constant), and
+#     || |R†| |R| ||_2 <= ||R||_F^2 = tr(A + dA), so ||dA||_2 <= 4.1 (d + 1) u t.
+# Their sum, with every gamma_k = k u / (1 - k u) at k u <= 1e-9, stays below
+# slack = 8 (n + d + 2) u.  Entries whose products underflow
+# add at most n d 2^-1074 in absolute terms, below u t once t >= 2^-500; and
+# with t <= 2^1000 no partial sum of an entry, each at most t (1 + n u) in
+# magnitude, overflows, so every entry of M is finite.
+# With slack <= tau / 4 and sigma_max(m)^2 <= ||m||_F^2 <= (1 + 3 (n + d) u) t,
+# sigma_min / sigma_max >= sqrt(tau / 2) = 2^-15.5, about 2.2e-5.  LAPACK's
+# singular values are within p(n, d) u sigma_max of the exact ones, p a
+# modestly growing function (LAPACK Users' Guide, sec. 4.9); while that is
+# below a quarter of the proven ratio, the computed ratio exceeds
+# sqrt(tau / 8), so the SVD rule below passes whenever rank_rel_eps <=
+# sqrt(tau / 8).  Larger rank_rel_eps, or sizes at which slack > tau / 4,
+# skip the certificate.
+_RANK_TAU = 2.0**-30
+_RANK_EPS_MAX = math.sqrt(_RANK_TAU / 8)
+_UNIT_ROUNDOFF = np.finfo(np.float64).eps / 2
+_TINY = np.finfo(np.float64).tiny
 
-    Each singular value of ``m`` must exceed rank_rel_eps * sigma_max (not
-    squared: these are not eigenvalues of m† m).  More columns than rows
-    always fail, since the SVD then returns one value per row only.
+
+def _cholesky_certifies_rank(m: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """Whether one Cholesky of m† m - tau tr(m† m) I proves that the SVD rule
+    of :func:`full_column_rank` accepts ``m`` (see the bound above)."""
+    n, d = m.shape
+    if (
+        d > n
+        or 8.0 * (n + d + 2) * _UNIT_ROUNDOFF > _RANK_TAU / 4
+        or cfg.rank_rel_eps > _RANK_EPS_MAX
+    ):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        mm = m.conj().T @ m
+    diag = mm.reshape(-1)[:: d + 1]  # a view: matmul returns a C-contiguous mm
+    t = float(diag.real.sum())
+    if not 2.0**-500 <= t <= 2.0**1000:  # also false for a NaN trace
+        return False
+    diag -= _RANK_TAU * t
+    try:
+        np.linalg.cholesky(mm)
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def full_column_rank(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
+    """Whether the columns of ``m`` are independent.
+
+    The rule: each singular value of ``m`` must exceed rank_rel_eps *
+    sigma_max (not squared: these are not eigenvalues of m† m).  More
+    columns than rows always fail, since the SVD then returns one value per
+    row only.  A Cholesky certificate accepts well-conditioned ``m``
+    without the SVD; the SVD runs only when the certificate cannot decide,
+    so the verdict is the rule's either way.
     """
+    if _cholesky_certifies_rank(m, cfg):
+        return True
     sv = np.linalg.svd(m, compute_uv=False)
     top = float(np.max(sv, initial=0.0))
-    return bool(m.shape[1] <= m.shape[0] and np.all(sv > cfg.rank_rel_eps * top)), top
+    return bool(m.shape[1] <= m.shape[0] and np.all(sv > cfg.rank_rel_eps * top))
+
+
+# Data-scale cutoff.  Relative slack granted between an end of
+# _sigma_max_bracket and LAPACK's sigma_max: both carry rounding errors of a
+# modest multiple of (n + d) u, many orders of magnitude below this.
+_SIGMA_REL = 1e-6
+
+
+def _sigma_max_bracket(x: np.ndarray) -> tuple[float, float] | None:
+    """(lo, hi) with lo <= sigma_max(x) <= hi up to rounding, in O(nd):
+    lo = max(largest column norm, ||x||_F / sqrt(min(n, d))), hi = ||x||_F.
+
+    None when the squares of the entries overflow, or sum to less than
+    2^-800 for a nonzero ``x``, so that underflow may have lost them.
+    """
+    with np.errstate(over="ignore", under="ignore"):  # tested just below
+        col = np.linalg.norm(x, axis=0)
+        ss = float(col @ col)
+    if not 2.0**-800 <= ss < math.inf:
+        return None if x.any() else (0.0, 0.0)
+    fro = math.sqrt(ss)
+    return max(float(np.max(col)), fro / math.sqrt(min(x.shape))), fro
+
+
+def _above_data_cut(ev: np.ndarray, cfg: ToleranceConfig, *mats: np.ndarray) -> np.ndarray:
+    """Mask of the eigenvalues ``ev`` above rank_rel_eps * max(top, scale),
+    with top = max(ev, 0) and scale the product of sigma_max over ``mats``.
+
+    The sigma_max are first bracketed (:func:`_sigma_max_bracket`); an
+    eigenvalue outside the band that the brackets leave for the cutoff,
+    widened by _SIGMA_REL, is decided by the band.  Only when one falls
+    inside it, or a bracket is missing or not finite, is the scale
+    computed by SVD.  The mask is the SVD cutoff's either way.
+    """
+    top = float(np.max(ev, initial=0.0))
+    eps = cfg.rank_rel_eps
+    brackets = [_sigma_max_bracket(m) for m in mats]
+    if None not in brackets:
+        low = eps * max(top, math.prod(b[0] for b in brackets)) * (1.0 - _SIGMA_REL)
+        high = eps * max(top, math.prod(b[1] for b in brackets)) * (1.0 + _SIGMA_REL)
+        keep = ev > high
+        # No eigenvalue lies in (low, high] when as many exceed low as exceed
+        # high.  Below _TINY, rounding is no longer relative and could lift
+        # low above the SVD cutoff.
+        if _TINY <= low and high < math.inf and np.count_nonzero(ev > low) == np.count_nonzero(keep):
+            return keep
+    scale = 1.0
+    for m in mats:
+        scale *= float(np.linalg.norm(m, 2)) if m.size else 0.0
+    return ev > eps * max(top, scale)
 
 
 def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -15,8 +15,9 @@ is finite.  Both criteria are implemented, along with the per-direction
 constant M_y of the quadratic characterization.
 
 Every construction in the package reads one :class:`GramSpectrum`: a
-single pass of :func:`gram_spectrum` validates the operator (the SVD
-rank test on D, then the Hermitian and PSD tests on G), eigendecomposes
+single pass of :func:`gram_spectrum` validates the operator (the rank
+test on D, certified by one Cholesky of D† D and decided by SVD only when
+the certificate cannot, then the Hermitian and PSD tests on G), eigendecomposes
 G once, splits its spectrum at the data-scale cutoff, and derives the
 embedding J and the extendibility witness from that split.
 """
@@ -122,17 +123,15 @@ class ExtendibilityReport:
 
 def _validated(
     p: PartialOperator, cfg: ToleranceConfig
-) -> tuple[ValidationReport, float, nc.HermitianEigen | None]:
+) -> tuple[ValidationReport, nc.HermitianEigen | None]:
     """The one validation pass, plus what it computed along the way.
 
-    Returns the report, sigma_max(D) from the rank test's SVD, and the
-    eigendecomposition of G whose eigenvalues the PSD test read (None
-    when G is not Hermitian).
+    Returns the report and the eigendecomposition of G whose eigenvalues
+    the PSD test read (None when G is not Hermitian).
     """
     failures = []
     g = p.gram()
-    full_rank, sigma_max = nc.full_column_rank(p.domain_basis, cfg)
-    if not full_rank:
+    if not nc.full_column_rank(p.domain_basis, cfg):
         failures.append("rank_deficient_domain")
     try:
         eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
@@ -143,7 +142,7 @@ def _validated(
         if not nc.spectrum_is_psd(eig.eigenvalues, cfg):
             failures.append("non_psd_gram")
     report = ValidationReport(ok=not failures, failures=tuple(failures), gram=g)
-    return report, sigma_max, eig
+    return report, eig
 
 
 def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
@@ -204,18 +203,19 @@ def gram_spectrum(
     A Gram eigenvalue counts as zero when it falls below rank_rel_eps
     times max(largest eigenvalue, sigma_max(D) * sigma_max(Ad)); the
     second term keeps a Gram that is pure rounding noise relative to the
-    data from looking full rank against itself.  The operator is
+    data from looking full rank against itself.  The sigma_max are
+    bracketed from column norms, and computed by SVD only when an
+    eigenvalue lies too close to the cutoff for the brackets to decide
+    (``numcore._above_data_cut``).  The operator is
     extendible exactly when Ad maps every sub-cutoff eigenvector to
     within cmp_tol of zero.
 
     Raises the :class:`InvalidOperator` subclass naming the first
     validation failure.
     """
-    report, sigma_d, eig = _validated(p, cfg)
+    report, eig = _validated(p, cfg)
     report.raise_if_invalid()
-    top = float(np.max(eig.eigenvalues, initial=0.0))
-    data_scale = sigma_d * float(np.linalg.norm(p.action, 2))
-    keep = eig.eigenvalues > cfg.rank_rel_eps * max(top, data_scale)
+    keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action)
     lam = eig.eigenvalues[keep][::-1].copy()
     u = eig.eigenvectors[:, keep][:, ::-1].copy()
     kernel = eig.eigenvectors[:, ~keep].copy()

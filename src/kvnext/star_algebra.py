@@ -228,7 +228,7 @@ def validate_algebra(
     p = ideal.p
     left = np.zeros((m, 0, 0), dtype=np.complex128) if p == 0 else None
     if p > 0:
-        if not nc.full_column_rank(ideal.basis, cfg)[0]:
+        if not nc.full_column_rank(ideal.basis, cfg):
             failures.append("ideal_rank")
         else:
             products = (mult.transpose(2, 0, 1) @ ideal.basis).reshape(m, m * p)

@@ -6,10 +6,11 @@ import pytest
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares and QR,
-    and, under ``norm2``, the SVD hidden in ``np.linalg.norm(x, 2)`` of a matrix."""
+    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares, QR and
+    Cholesky, and, under ``norm2``, the SVD hidden in ``np.linalg.norm(x, 2)``
+    of a matrix."""
     calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr"):
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr", "cholesky"):
         fn = getattr(np.linalg, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):

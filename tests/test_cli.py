@@ -241,11 +241,11 @@ def test_not_extendible_reports_carry_witness(tmp_path):
         assert "witness" in report["result"]
 
 
-# 3000 empty rows: a 12 KB file whose structure tensor would take 402 GiB
+# 1000 empty rows: a 4 KB file whose structure tensor would take 15 GiB
 FUNCTIONAL_EMPTY_ROWS = {
     **json.loads((FIXTURES / "functional_m2.json").read_text())["payload"],
-    "dim": 3000,
-    "mult": [[]] * 3000,
+    "dim": 1000,
+    "mult": [[]] * 1000,
 }
 
 
@@ -264,15 +264,17 @@ FUNCTIONAL_EMPTY_ROWS = {
          "tolerances.cmp_tol: number out of range"),
         ("check_running2", ("payload", "action", 0, 0, 0), 10**400,
          "payload.action: number out of range"),
-        ("check_running2", ("payload", "dim"), 0, "payload.dim: expected an integer from 1 to 4096"),
+        ("check_running2", ("payload", "dim"), 0, "payload.dim: expected an integer from 1 to 1024"),
         ("check_running2", ("payload", "dim"), -1,
-         "payload.dim: expected an integer from 1 to 4096"),
+         "payload.dim: expected an integer from 1 to 1024"),
         ("extend_running2", ("payload", "dim"), 100000,
-         "payload.dim: expected an integer from 1 to 4096"),
+         "payload.dim: expected an integer from 1 to 1024"),
+        ("extend_running2", ("payload", "dim"), 1025,
+         "payload.dim: expected an integer from 1 to 1024"),
         ("kernel_m2_ones", ("payload", "set_size"), 100000,
-         "payload.set_size: expected an integer from 1 to 4096"),
-        ("kernel_m2_ones", ("payload", "fiber_dim"), 2049,
-         "payload.fiber_dim: expected an integer from 1 to 2048"),
+         "payload.set_size: expected an integer from 1 to 1024"),
+        ("kernel_m2_ones", ("payload", "fiber_dim"), 513,
+         "payload.fiber_dim: expected an integer from 1 to 512"),
         ("functional_m2", ("payload",), FUNCTIONAL_EMPTY_ROWS,
          "payload.mult: expected m lists of m vectors"),
         ("extend_bounded_3i", ("payload", "sample_count"), -1,
@@ -285,7 +287,7 @@ FUNCTIONAL_EMPTY_ROWS = {
          "payload.iterations: expected an integer from 0 to 100000"),
     ],
     ids=["dim-list", "dim-null", "seed-list", "tolerance-list", "sample-count-list",
-         "tolerance-401-digits", "entry-401-digits", "dim-0", "dim-negative", "dim-over-cap",
+         "tolerance-401-digits", "entry-401-digits", "dim-0", "dim-negative", "dim-over-cap", "dim-one-over-cap",
          "set-size-over-cap", "set-size-times-fiber-dim-over-cap", "functional-empty-mult-rows",
          "sample-count-negative", "sample-count-over-cap", "iterations-negative",
          "iterations-over-cap"],

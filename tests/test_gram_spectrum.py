@@ -40,8 +40,10 @@ def test_each_construction_factors_the_gram_once(lapack_calls):
 
     lapack_calls.clear()
     krein_von_neumann(p)
-    assert (lapack_calls["eigh"], lapack_calls["eigvalsh"], lapack_calls["svd"]) == (1, 1, 1)
-    assert lapack_calls["norm2"] == 1  # sigma_max(Ad) for the data-scale cutoff
+    # D is well conditioned and no Gram eigenvalue is near the cutoff, so the
+    # rank certificate and the sigma_max brackets decide without an SVD
+    counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "norm2", "cholesky"))
+    assert counts == (1, 1, 0, 0, 1)
 
     lapack_calls.clear()
     assert in_interval(p, bound, t)
@@ -71,8 +73,8 @@ def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
     # block-side criteria, the range condition among them
     assert lapack_calls["eigh"] == 2
     # sigma_max of the column for gram_spectrum's cutoff, and ||A21||_2 for
-    # the kernel-inclusion cutoff
-    assert lapack_calls["norm2"] == 2
+    # the kernel-inclusion cutoff, are both decided by their brackets
+    assert lapack_calls["norm2"] == 0
 
     k = 3
     ops = [random_psd(rng, 4) for _ in range(k)]
@@ -80,6 +82,17 @@ def test_completion_and_schwarz_check_each_matrix_once(lapack_calls):
     schwarz_gap(ops, [random_vector(rng, 4) for _ in range(k)])
     minimal_constant_estimate(ops, 20, seed=0)
     assert lapack_calls["eigvalsh"] <= k + 1
+
+
+def test_rank_test_falls_back_to_the_svd_when_the_certificate_fails(lapack_calls):
+    # sigma_min / sigma_max(D) = 1e-8: full rank at rank_rel_eps = 1e-10, but
+    # below what the Cholesky certificate can prove
+    d = np.array([[1.0, 0.0], [0.0, 1e-8], [0.0, 0.0]], dtype=complex)
+    assert nc.full_column_rank(d)
+    assert (lapack_calls["cholesky"], lapack_calls["svd"]) == (1, 1)
+    lapack_calls.clear()
+    assert gram_spectrum(PartialOperator(d, d)).r == 1
+    assert (lapack_calls["svd"], lapack_calls["norm2"]) == (1, 0)
 
 
 def test_bounded_extend_computes_the_interval_once(lapack_calls, tmp_path):
