@@ -32,17 +32,6 @@ MAX_DIM = 1024
 MAX_SAMPLES = 1000
 MAX_ITERATIONS = 100_000
 
-KINDS = {
-    "check": ("partial_operator",),
-    "extend": ("partial_operator", "bounded_extension"),
-    "complete": ("halmos_block",),
-    "kernel": ("kernel_problem",),
-    "functional": ("star_algebra_problem",),
-    "commutation": ("commutation_problem",),
-    "schwarz": ("schwarz_problem",),
-}
-
-
 class CliInputError(Exception):
     pass
 
@@ -366,14 +355,15 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tu
     return "ok", result
 
 
-_RUNNERS = {
-    "check": run_check,
-    "extend": run_extend,
-    "complete": run_complete,
-    "kernel": run_kernel,
-    "functional": run_functional,
-    "commutation": run_commutation,
-    "schwarz": run_schwarz,
+# command -> (runner, the problem kinds it accepts)
+_COMMANDS = {
+    "check": (run_check, ("partial_operator",)),
+    "extend": (run_extend, ("partial_operator", "bounded_extension")),
+    "complete": (run_complete, ("halmos_block",)),
+    "kernel": (run_kernel, ("kernel_problem",)),
+    "functional": (run_functional, ("star_algebra_problem",)),
+    "commutation": (run_commutation, ("commutation_problem",)),
+    "schwarz": (run_schwarz, ("schwarz_problem",)),
 }
 
 
@@ -463,7 +453,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="kvn",
         description="Positive extension toolkit: check, construct, and complete.",
     )
-    parser.add_argument("command", choices=sorted(_RUNNERS))
+    parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("input", help="problem file (JSON)")
     parser.add_argument("--out", help="write the report here instead of stdout")
     parser.add_argument("--tol-rank", type=float, default=None)
@@ -489,17 +479,16 @@ def _run(args) -> tuple[str, dict, list[str]]:
             raise CliInputError(
                 f"unsupported schema_version {data.get('schema_version')!r}"
             )
+        runner, kinds = _COMMANDS[command]
         kind = data.get("kind")
-        if kind not in KINDS[command]:
-            raise CliInputError(
-                f"command {command!r} expects kind in {KINDS[command]}, got {kind!r}"
-            )
+        if kind not in kinds:
+            raise CliInputError(f"command {command!r} expects kind in {kinds}, got {kind!r}")
         payload = data.get("payload")
         if not isinstance(payload, dict):
             raise CliInputError("payload must be an object")
         cfg = _tolerances(args, data.get("tolerances"))
         seed = args.seed if args.seed is not None else _int_in(data.get("seed", 0), "seed")
-        status, result = _RUNNERS[command](payload, cfg, seed, kind)
+        status, result = runner(payload, cfg, seed, kind)
     except KeyError as exc:
         return "invalid_input", {}, [f"missing field {exc}"]
     except (CliInputError, InvalidInput, ValueError) as exc:

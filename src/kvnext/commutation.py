@@ -36,14 +36,15 @@ class CommutationReport:
 
 def _hypothesis_status(
     p: PartialOperator, b: np.ndarray, c: np.ndarray, cfg: ToleranceConfig
-) -> tuple[bool, str]:
-    """Invariance and intertwining on the domain of an already validated ``p``."""
+) -> None:
+    """Invariance and intertwining on the domain of an already validated
+    ``p``; raises DomainNotInvariant or HypothesesFail for the first that fails."""
     if b.shape != (p.n, p.n) or c.shape != (p.n, p.n):
         raise ShapeMismatch(
             f"B and C must be {p.n} x {p.n}, got {b.shape} and {c.shape}"
         )
     if p.d == 0:
-        return True, "ok"
+        return
     # D is validated full column rank, so ran D = ran q and r is invertible:
     # no further rank decision is made here.
     q, r = np.linalg.qr(p.domain_basis)
@@ -51,16 +52,15 @@ def _hypothesis_status(
     for name, m in (("B", b), ("C", c)):
         proj = nc._span_coords(m @ p.domain_basis, q, cfg)
         if proj is None:
-            return False, f"invariance: {name} does not leave the domain invariant"
+            raise DomainNotInvariant(f"invariance: {name} does not leave the domain invariant")
         coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
     scale = cfg.cmp_tol * (
         1.0 + nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
     )
     if nc.fro(c.conj().T @ p.action - p.action @ coeff["B"]) > scale:
-        return False, "C† A = A B fails on the domain"
+        raise HypothesesFail("C† A = A B fails on the domain")
     if nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]) > scale:
-        return False, "B† A = A C fails on the domain"
-    return True, "ok"
+        raise HypothesesFail("B† A = A C fails on the domain")
 
 
 def check_intertwining(
@@ -70,8 +70,11 @@ def check_intertwining(
     bm = nc.as_matrix(b, "B")
     cm = nc.as_matrix(c, "C")
     validate(p, cfg).raise_if_invalid()
-    ok, _ = _hypothesis_status(p, bm, cm, cfg)
-    return ok
+    try:
+        _hypothesis_status(p, bm, cm, cfg)
+    except HypothesesFail:
+        return False
+    return True
 
 
 def verify_commutation(
@@ -86,11 +89,7 @@ def verify_commutation(
     bm = nc.as_matrix(b, "B")
     cm = nc.as_matrix(c, "C")
     spec = gram_spectrum(p, cfg)
-    ok, reason = _hypothesis_status(p, bm, cm, cfg)
-    if not ok:
-        if reason.startswith("invariance"):
-            raise DomainNotInvariant(reason)
-        raise HypothesesFail(reason)
+    _hypothesis_status(p, bm, cm, cfg)
     a_n = _minimal_extension(spec)
     residual_cb = nc.fro(cm.conj().T @ a_n - a_n @ bm)
     residual_bc = nc.fro(bm.conj().T @ a_n - a_n @ cm)

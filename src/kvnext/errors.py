@@ -39,6 +39,10 @@ class NotPsd(InvalidInput):
     pass
 
 
+class ResultOutOfRange(InvalidInput):
+    """A result of well-formed input overflows the float range."""
+
+
 class InvalidOperator(InvalidInput):
     """Partial operator fails validation; the subclass names the first failure."""
 

@@ -154,21 +154,6 @@ def _samples(
     return samples
 
 
-def _kernel_inclusion(eig: nc.HermitianEigen, a21: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """ker A11 <= ker A21, tested on the sub-cutoff eigenvectors of A11
-    (``eig`` is its eigendecomposition).
-
-    The cutoff is scaled against both blocks so an A11 that is pure
-    rounding noise next to A21 is treated as zero.  It scales with
-    ||A21|| rather than gram_spectrum's sigma(D) sigma(Ad) because this
-    criterion is evaluated on the blocks, independently of that spectrum.
-    ||A21|| is bracketed the same way (``numcore._above_data_cut``).
-    """
-    kernel = eig.eigenvectors[:, ~nc._above_data_cut(eig.eigenvalues, cfg, a21)]
-    images = np.linalg.norm(a21 @ kernel, axis=0)
-    return bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (1.0 + nc.fro(a21)))
-
-
 def halmos_complete(
     a11, a21, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> CompletionReport:
@@ -176,8 +161,8 @@ def halmos_complete(
 
     Given the known column [[A11], [A21]] of a partitioned matrix with
     A11 PSD, a positive completion exists iff A21† A21 <= M A11 for some
-    M iff ran A21† lies inside ran A11^{1/2}.  All three criteria are
-    evaluated independently; the minimal completion fills the free block
+    M iff ran A21† lies inside ran A11^{1/2}.  The three criteria are
+    evaluated by separate tests; the minimal completion fills the free block
     with the shorted expression A21 A11+ A21†, the lower-right block of
     j j* for the column's partial operator, whose Gram matrix is exactly A11.
     """
@@ -199,15 +184,20 @@ def halmos_complete(
     except InvalidOperator as exc:
         raise NotPsd("A11 is not positive semidefinite within tolerance") from exc
 
-    # One eigendecomposition of A11 serves the block-side criteria; they do not
-    # read spec's, so the three verdicts stay independent.
-    eig = nc._psd_eigen(a11m, cfg)
-    bounded = _kernel_inclusion(eig, a21m, cfg)
+    # G = A11, so spec's eigendecomposition of G serves the block-side
+    # criteria too, each with its own cutoff.  Kernel inclusion ker A11 <= ker
+    # A21 scales its cutoff by ||A21|| rather than sigma(D) sigma(Ad), so an
+    # A11 that is rounding noise next to A21 counts as zero.
+    eig = spec.eig
+    kernel = nc._split(eig, nc._above_data_cut(eig.eigenvalues, cfg, a21m))[2]
+    bounded = nc._kernel_witness(a21m, kernel, cfg) is None
     if bounded:
         s = nc._sqrt_pinv(eig, cfg)
         coupling = s @ (a21m.conj().T @ a21m) @ s
-        ev = np.linalg.eigvalsh(0.5 * (coupling + coupling.conj().T))
-        bound_constant = float(np.max(ev, initial=0.0))
+        coupling = nc._finite(
+            0.5 * (coupling + coupling.conj().T), "coupling A11^{+1/2} A21† A21 A11^{+1/2}"
+        )
+        bound_constant = float(np.max(np.linalg.eigvalsh(coupling), initial=0.0))
     else:
         bound_constant = float("inf")
 

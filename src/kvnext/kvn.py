@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExtendible
-from .numcore import DEFAULT_TOL, ToleranceConfig
+from .numcore import DEFAULT_TOL, ToleranceConfig, _finite
 from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
@@ -65,10 +65,11 @@ def _extendible(spec: GramSpectrum) -> GramSpectrum:
 
 
 def _minimal_extension(spec: GramSpectrum) -> np.ndarray:
-    """a_n = Ad G+ Ad†, read off a spectrum the caller already holds."""
+    """a_n = Ad G+ Ad†, read off a spectrum the caller already holds;
+    raises ResultOutOfRange when it overflows."""
     image = _extendible(spec).op.action @ spec.u
     a_n = (image / spec.lam) @ image.conj().T
-    return 0.5 * (a_n + a_n.conj().T)
+    return _finite(0.5 * (a_n + a_n.conj().T), "minimal extension a_n = Ad G+ Ad†")
 
 
 def ha_factorization(

@@ -7,9 +7,9 @@ Conventions used across the package:
   ``<f, x> = sum_i f[i] * conj(x[i])`` (linear in ``f``, conjugate linear
   in ``x``), so adjoints are plain conjugate transposes.
 * Rank decisions are relative: an eigenvalue counts as nonzero when it
-  exceeds ``rank_rel_eps`` times the largest eigenvalue
-  (:func:`numerical_rank`).  Gram matrices of partial operators scale the
-  cutoff by the data instead; see ``partial_op.gram_spectrum``.
+  exceeds ``rank_rel_eps`` times the largest eigenvalue (:func:`_kept`).
+  Gram matrices of partial operators scale the cutoff by the data
+  instead; see ``partial_op.gram_spectrum``.
 * Positivity tolerates eigenvalues down to ``-psd_tol * (1 + max|eig|)``
   to absorb eigensolver noise on exactly singular inputs
   (:func:`spectrum_is_psd`).
@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, NotPsd, NotSquare, ShapeMismatch
+from .errors import NotHermitian, NotPsd, NotSquare, ResultOutOfRange, ShapeMismatch
 
 
 @dataclass(frozen=True)
@@ -82,6 +82,13 @@ def fro(m) -> float:
     return float(np.linalg.norm(m))
 
 
+def _finite(x: np.ndarray, what: str) -> np.ndarray:
+    """``x``, or ResultOutOfRange when an entry of ``what`` is not finite."""
+    if not np.isfinite(x).all():
+        raise ResultOutOfRange(f"{what} overflows the float range")
+    return x
+
+
 def _require_square(m: np.ndarray, name: str) -> None:
     if m.shape[0] != m.shape[1]:
         raise NotSquare(f"{name} must be square, got shape {m.shape}")
@@ -119,14 +126,6 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     h = 0.5 * (a + a.conj().T)
     w, v = np.linalg.eigh(h)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
-
-
-def numerical_rank(eigenvalues: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> int:
-    """Number of eigenvalues above the relative cutoff (PSD spectra)."""
-    top = float(np.max(eigenvalues, initial=0.0))
-    if top <= 0.0:
-        return 0
-    return int(np.count_nonzero(eigenvalues > cfg.rank_rel_eps * top))
 
 
 # Rank certificate.  Let M = fl(m† m), t = tr M and u the unit roundoff.
@@ -250,21 +249,29 @@ def _above_data_cut(ev: np.ndarray, cfg: ToleranceConfig, *mats: np.ndarray) -> 
     return ev > eps * max(top, scale)
 
 
+def _split(eig: HermitianEigen, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lam, u, rest): the eigenpairs selected by the mask ``keep``, in
+    descending order, and the other eigenvectors."""
+    lam = eig.eigenvalues[keep][::-1].copy()
+    u = eig.eigenvectors[:, keep][:, ::-1].copy()
+    return lam, u, eig.eigenvectors[:, ~keep].copy()
+
+
 def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs above the :func:`numerical_rank` cutoff, descending."""
-    low = eig.eigenvalues.size - numerical_rank(eig.eigenvalues, cfg)
-    return eig.eigenvalues[low:][::-1].copy(), eig.eigenvectors[:, low:][:, ::-1].copy()
+    """Eigenpairs above rank_rel_eps * max(largest eigenvalue, 0), descending."""
+    top = float(np.max(eig.eigenvalues, initial=0.0))
+    return _split(eig, eig.eigenvalues > cfg.rank_rel_eps * top)[:2]
 
 
-def positive_spectrum(
-    m, cfg: ToleranceConfig = DEFAULT_TOL
-) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenpairs of a Hermitian PSD matrix above the rank cutoff.
-
-    Returns ``(lam, u)`` with ``lam`` descending positive eigenvalues of
-    numerical rank length and ``u`` the matching orthonormal columns.
-    """
-    return _kept(hermitian_eigen(m, cfg), cfg)
+def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
+    """The normalized image m v of the column v of ``vecs`` that ``m`` moves
+    most, when ``||m v|| > cmp_tol * (1 + ||m||_F)``; None otherwise."""
+    images = m @ vecs
+    norms = np.linalg.norm(images, axis=0)
+    if not np.max(norms, initial=0.0) > cfg.cmp_tol * (1.0 + fro(m)):
+        return None
+    y = images[:, int(np.argmax(norms))]
+    return y / np.linalg.norm(y)
 
 
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -313,13 +320,9 @@ def _sqrt(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
     return 0.5 * (s + s.conj().T)
 
 
-def psd_sqrt_pinv(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Pseudo-inverse square root M^{+1/2}, supported on the numerical range."""
-    return _sqrt_pinv(_psd_eigen(m, cfg), cfg)
-
-
 def _sqrt_pinv(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
-    """:func:`psd_sqrt_pinv` read off the eigendecomposition of a PSD matrix."""
+    """Pseudo-inverse square root M^{+1/2}, supported on the numerical range,
+    read off the eigendecomposition of a PSD matrix."""
     lam, u = _kept(eig, cfg)
     return (u / np.sqrt(lam)) @ u.conj().T
 

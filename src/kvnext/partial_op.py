@@ -154,6 +154,7 @@ def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Validati
 class GramSpectrum:
     """One validated factorization of G = D† Ad, split at the rank cutoff.
 
+    eig:      the eigendecomposition of G that validation computed
     lam, u:   kept eigenvalues of G (descending) and their eigenvectors
     kernel:   eigenvectors of the eigenvalues at or below the cutoff
     j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r)
@@ -164,6 +165,7 @@ class GramSpectrum:
     op: PartialOperator
     cfg: ToleranceConfig
     gram: np.ndarray
+    eig: nc.HermitianEigen
     lam: np.ndarray
     u: np.ndarray
     kernel: np.ndarray
@@ -180,12 +182,14 @@ class GramSpectrum:
         return self.witness is None
 
     def hilbert_bound(self) -> float:
-        """Largest eigenvalue of the r x r matrix j† j, or +inf."""
+        """Largest eigenvalue of the r x r matrix j† j (ResultOutOfRange when
+        that overflows), or +inf."""
         if not self.extendible:
             return math.inf
         if self.r == 0:
             return 0.0
-        return float(np.max(np.linalg.eigvalsh(self.j.conj().T @ self.j), initial=0.0))
+        jj = nc._finite(self.j.conj().T @ self.j, "Hilbert bound: j† j")
+        return float(np.max(np.linalg.eigvalsh(jj), initial=0.0))
 
     def form(self, v) -> float:
         """v† G+ v for a domain coefficient vector v; +inf when v is not in ran G."""
@@ -216,17 +220,10 @@ def gram_spectrum(
     report, eig = _validated(p, cfg)
     report.raise_if_invalid()
     keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action)
-    lam = eig.eigenvalues[keep][::-1].copy()
-    u = eig.eigenvectors[:, keep][:, ::-1].copy()
-    kernel = eig.eigenvectors[:, ~keep].copy()
-    images = p.action @ kernel
-    image_norms = np.linalg.norm(images, axis=0)
-    witness = None
-    if np.max(image_norms, initial=0.0) > cfg.cmp_tol * (1.0 + nc.fro(p.action)):
-        y = images[:, int(np.argmax(image_norms))]
-        witness = y / np.linalg.norm(y)
+    lam, u, kernel = nc._split(eig, keep)
+    witness = nc._kernel_witness(p.action, kernel, cfg)
     j = p.action @ (u / np.sqrt(lam))
-    return GramSpectrum(p, cfg, report.gram, lam, u, kernel, j, witness)
+    return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, j, witness)
 
 
 def is_extendible(

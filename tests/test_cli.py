@@ -352,6 +352,26 @@ def test_unreadable_problem_file_is_invalid_input(content, tmp_path):
     assert report["diagnostics"][0].startswith("cannot read problem file: ")
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_check_whose_hilbert_bound_overflows_is_invalid_input(tmp_path):
+    problem = {
+        "schema_version": "1",
+        "kind": "partial_operator",
+        "payload": {
+            "dim": 2,
+            "domain_basis": [[[1e-301, 0.0]], [[0.0, 0.0]]],
+            "action": [[[1e150, 0.0]], [[0.0, 0.0]]],
+        },
+    }
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main(["check", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == ["Hilbert bound: j† j overflows the float range"]
+
+
 def test_result_out_of_float_range_is_invalid_input(tmp_path):
     # D = 1e-200 e_1, Ad = 1e200 e_1: a_n = Ad G^+ Ad† has the entry 1e400
     problem = {
@@ -371,4 +391,4 @@ def test_result_out_of_float_range_is_invalid_input(tmp_path):
     report = json.loads(out.read_text())
     assert report["status"] == "invalid_input"
     assert report["result"] == {}
-    assert report["diagnostics"][0].startswith("result is not representable in JSON: ")
+    assert report["diagnostics"][0] == "minimal extension a_n = Ad G+ Ad† overflows the float range"

@@ -5,7 +5,7 @@ import pytest
 
 from kvnext import PartialOperator, check_intertwining, cli, verify_commutation
 from kvnext import numcore as nc
-from kvnext.errors import HypothesesFail, ShapeMismatch
+from kvnext.errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
 from util_gen import commuting_instance, random_partial, rng_for
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -41,6 +41,25 @@ def test_non_invariant_domain_detected():
     assert not check_intertwining(p, nilpotent, nilpotent)
     with pytest.raises(HypothesesFail):
         verify_commutation(p, nilpotent, nilpotent)
+
+
+@pytest.mark.parametrize(
+    "b, c, error, message",
+    [
+        ([[0, 0], [1, 0]], [[1, 0], [0, 1]], DomainNotInvariant,
+         "invariance: B does not leave the domain invariant"),
+        ([[1, 0], [0, 1]], [[0, 0], [1, 0]], DomainNotInvariant,
+         "invariance: C does not leave the domain invariant"),
+        ([[0, 1], [0, 0]], [[0, 1], [0, 0]], HypothesesFail, "C† A = A B fails on the domain"),
+        ([[1, 1], [0, 0]], [[1, 0], [0, 0]], HypothesesFail, "B† A = A C fails on the domain"),
+    ],
+)
+def test_each_failure_kind_keeps_its_class_and_message(b, c, error, message):
+    p = PartialOperator(E1, E1.copy())
+    assert not check_intertwining(p, b, c)
+    with pytest.raises(HypothesesFail) as exc:
+        verify_commutation(p, b, c)
+    assert (type(exc.value), str(exc.value)) == (error, message)
 
 
 def test_shape_mismatch():

@@ -13,12 +13,14 @@ from kvnext import (
     sample_extensions,
 )
 from kvnext import numcore as nc
-from kvnext.errors import BoundTooSmall, NotPsd, ShapeMismatch
+from kvnext.errors import BoundTooSmall, NotPsd, ResultOutOfRange, ShapeMismatch
+from kvnext.partial_op import gram_spectrum
 from util_gen import (
     dominating_bound,
     extensions_by_block,
     random_partial,
     random_psd,
+    random_unitary,
     rng_for,
 )
 
@@ -161,6 +163,21 @@ def test_halmos_errors():
         halmos_complete(np.eye(2), np.zeros((1, 3)))
 
 
+@pytest.mark.parametrize(
+    "a11, a21",
+    [
+        # the coupling overflows before the eigensolve of the bound constant
+        (np.diag([1.0, 0.5, 0.0]), [[3e300, 2e300, 1e296]]),
+        (np.eye(2), [[2.0**900, 2.0**900]]),
+    ],
+)
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||A21|| overflows as well
+def test_completion_whose_coupling_overflows_raises_result_out_of_range(a11, a21):
+    with pytest.raises(ResultOutOfRange) as exc:
+        halmos_complete(a11, a21)
+    assert str(exc.value) == "coupling A11^{+1/2} A21† A21 A11^{+1/2} overflows the float range"
+
+
 def test_halmos_three_way_agreement_and_kvn_consistency():
     rng = rng_for(84)
     seen_infeasible = 0
@@ -183,3 +200,112 @@ def test_halmos_three_way_agreement_and_kvn_consistency():
             assert nc.fro(report.completion - a_n) <= 1e-8 * (1.0 + nc.fro(a_n))
             assert loewner_leq(np.zeros_like(a_n), report.completion)
     assert seen_infeasible > 10
+
+
+def _reference_completion(a11, a21, cfg=nc.DEFAULT_TOL):
+    """halmos_complete with the block side on its own eigendecomposition of
+    A11: the ||A21||-scaled kernel test, the A11^{+1/2} coupling and the range
+    condition over the kept eigenvectors; a22_min and the completion from
+    the column's embedding j.  Returns what is compared, or the name of the
+    error for a coupling that overflows."""
+    k = a11.shape[0]
+    eig = nc._psd_eigen(a11, cfg)
+    kernel = eig.eigenvectors[:, ~nc._above_data_cut(eig.eigenvalues, cfg, a21)]
+    images = np.linalg.norm(a21 @ kernel, axis=0)
+    bounded = bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (1.0 + nc.fro(a21)))
+    bound_constant = math.inf
+    if bounded:
+        s = nc._sqrt_pinv(eig, cfg)
+        coupling = s @ (a21.conj().T @ a21) @ s
+        coupling = 0.5 * (coupling + coupling.conj().T)
+        if not np.isfinite(coupling).all():
+            return "ResultOutOfRange"
+        bound_constant = float(np.max(np.linalg.eigvalsh(coupling), initial=0.0))
+    range_condition = nc._span_coords(a21.conj().T, nc._kept(eig, cfg)[1], cfg) is not None
+    spec = gram_spectrum(_column(a11, a21), cfg)
+    a22_min = completion = None
+    if spec.extendible:
+        a22_min = spec.j[k:] @ spec.j[k:].conj().T
+        a22_min = 0.5 * (a22_min + a22_min.conj().T)
+        completion = np.block([[a11, a21.conj().T], [a21, a22_min]])
+        completion = 0.5 * (completion + completion.conj().T)
+    return bounded, bound_constant.hex(), range_condition, _bytes(a22_min), _bytes(completion)
+
+
+def _column(a11, a21):
+    """The partial operator [I; 0] -> [A11; A21] whose Gram matrix is A11."""
+    k = a11.shape[0]
+    domain = np.zeros((k + a21.shape[0], k), dtype=complex)
+    domain[:k] = np.eye(k)
+    return PartialOperator(domain, np.vstack([a11, a21]))
+
+
+def _bytes(m):
+    return None if m is None else m.tobytes()
+
+
+def _completion(a11, a21):
+    try:
+        rep = halmos_complete(a11, a21)
+    except ResultOutOfRange:
+        return "ResultOutOfRange"
+    return (
+        rep.bounded,
+        rep.bound_constant.hex(),
+        rep.range_condition,
+        _bytes(rep.a22_min),
+        _bytes(rep.completion),
+    )
+
+
+def _block(rng, kind):
+    """A seeded (A11, A21) of the given kind."""
+    k = int(rng.integers(1, 6))
+    rows = int(rng.integers(1, 4))
+    a21 = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    a11 = random_psd(rng, k, rank=int(rng.integers(0, k + 1)))
+    if kind == "rank_deficient":
+        a11 = random_psd(rng, k, rank=int(rng.integers(0, k)))
+        if rng.uniform() < 0.5:
+            a21 = a21 @ a11
+    elif kind == "diagonal_zeros":
+        # -(diag(-x)) and conj carry -0.0 entries, which G = [I 0] [A11; A21]
+        # turns into +0.0
+        diag = rng.uniform(0.1, 2.0, k)
+        diag[rng.uniform(size=k) < 0.4] = 0.0
+        a11 = -np.diag(-diag).astype(complex)
+        if rng.uniform() < 0.5:
+            a11 = a11.conj()
+        if rng.uniform() < 0.5:
+            a21[:, diag == 0.0] = 0.0
+    elif kind == "planted":
+        u = random_unitary(rng, k)
+        ev = rng.uniform(0.5, 1.0, k)
+        ev[0], ev[-1] = 1.0, 10.0 ** rng.uniform(-11, -7)
+        a11 = (u * ev) @ u.conj().T
+        a11 = 0.5 * (a11 + a11.conj().T)
+    elif kind == "a21_zero":
+        a21 = np.zeros_like(a21)
+    else:
+        a21 = a21 * 2.0**kind
+    return nc.as_matrix(a11), a21
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_completion_matches_the_block_side_on_its_own_eigendecomposition():
+    # halmos_complete reads its block-side criteria off gram_spectrum's eigh
+    # of G = [I 0] [A11; A21]; the reference factors A11 itself.  They agree
+    # bit for bit, also where G's zero entries differ from A11's in sign.
+    kinds = ["rank_deficient", "diagonal_zeros", "planted", "a21_zero", 500, -500, 900]
+    signed_zero_blocks = overflowed = 0
+    for seed in range(1400):
+        rng = rng_for(5000 + seed)
+        a11, a21 = _block(rng, kinds[seed % len(kinds)])
+        # compare the signs of the real and imaginary parts
+        a, g = a11.view(float), _column(a11, a21).gram().view(float)
+        signed_zero_blocks += bool(np.any(np.signbit(a[a == 0]) != np.signbit(g[a == 0])))
+        expected = _reference_completion(a11, a21)
+        overflowed += expected == "ResultOutOfRange"
+        assert _completion(a11, a21) == expected, seed
+    assert signed_zero_blocks >= 50
+    assert overflowed == 200  # every block with A21 scaled by 2^900

@@ -7,6 +7,7 @@ from kvnext import (
     full_domain,
     ha_factorization,
     hilbert_bound,
+    is_extendible,
     is_psd,
     krein_von_neumann,
     loewner_leq,
@@ -15,7 +16,7 @@ from kvnext import (
     sample_extensions,
 )
 from kvnext import numcore as nc
-from kvnext.errors import NotExtendible
+from kvnext.errors import NotExtendible, ResultOutOfRange
 from util_gen import (
     dominating_bound,
     qform_oracle,
@@ -82,7 +83,7 @@ def test_result_invariants_on_random_instances():
         )
         assert np.array_equal(fact.j_star_matrix, fact.j_matrix.conj().T)
         # j* returns auxiliary-space coordinates of the action on the domain
-        lam, u = nc.positive_spectrum(p.gram())
+        lam, u = nc._kept(nc.hermitian_eigen(p.gram()), nc.DEFAULT_TOL)
         coords = np.sqrt(lam)[:, None] * u.conj().T
         assert nc.fro(fact.j_star_matrix @ p.domain_basis - coords) <= 1e-7 * (
             1.0 + nc.fro(coords)
@@ -156,3 +157,16 @@ def test_restrictions_of_psd_operators_are_extendible():
         p = restricted_psd(rng, n, int(rng.integers(0, n + 1)))
         res = krein_von_neumann(p)
         assert is_psd(res.a_n)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_results_that_overflow_raise_result_out_of_range():
+    # G = 1e-151 against Ad = 1e150: a_n = Ad G+ Ad† and j† j are about 1e451
+    p = PartialOperator([[1e-301], [0]], [[1e150], [0]])
+    with pytest.raises(ResultOutOfRange) as exc:
+        krein_von_neumann(p)
+    assert str(exc.value) == "minimal extension a_n = Ad G+ Ad† overflows the float range"
+    # not extendible=True with an infinite Hilbert bound
+    with pytest.raises(ResultOutOfRange) as exc:
+        is_extendible(p)
+    assert str(exc.value) == "Hilbert bound: j† j overflows the float range"
