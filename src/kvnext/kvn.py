@@ -82,7 +82,7 @@ def ha_factorization(
     action, which is the defining identity J* x = A x on dom A.
     """
     spec = _extendible(gram_spectrum(p, cfg))
-    return HAFactorization(r=spec.r, j_matrix=spec.j)
+    return HAFactorization(r=spec.r, j_matrix=_finite(spec.j, "embedding j = Ad U Lam^{-1/2}"))
 
 
 def krein_von_neumann(

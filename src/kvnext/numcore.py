@@ -11,8 +11,8 @@ Conventions used across the package:
   Gram matrices of partial operators scale the cutoff by the data
   instead; see ``partial_op.gram_spectrum``.
 * Positivity tolerates eigenvalues down to ``-psd_tol * (1 + max|eig|)``
-  to absorb eigensolver noise on exactly singular inputs
-  (:func:`spectrum_is_psd`).
+  (:func:`spectrum_is_psd`), which absorbs eigensolver noise; :func:`is_psd`
+  proves it by one Cholesky when it can and reads ``eigvalsh`` otherwise.
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -274,12 +274,81 @@ def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np
     return y / np.linalg.norm(y)
 
 
+# PSD certificate.  Let h be an exactly Hermitian n x n matrix, f = ||h||_F,
+# s = sum_i |h_ii| and u the unit roundoff.  eigvalsh(h) returns w within
+# e := p(n) u f >= p(n) u ||h||_2 of the exact eigenvalues.  LAPACK bounds
+# this error by p(n) u ||h||_2, p a modestly growing function (LAPACK Users'
+# Guide, sec. 4.7); p(n) = 32 (n + 1) is an allowance, not a theorem.  On
+# this build the differences between eigvalsh of h, of a permutation of h
+# and of its real 2n x 2n form stay below 12 u ||h||_2 for n <= 8 and below
+# 6 sqrt(n) u ||h||_2 up to n = 1024, past which the certificate is skipped.
+# Since ||h||_2 >= f / sqrt(n), max|w| >= L := f / sqrt(n) - e, and the rule
+# of spectrum_is_psd passes when every w >= floor := -psd_tol (1 + L).
+# If the Cholesky factorization of A = fl(h - c I) runs to completion, then
+# lambda_min(h) >= c - slack(c), with slack(c) bounding two roundings:
+#   * the shift of the diagonal: at most u (f + |c|);
+#   * the factorization: R† R = A + dA with |dA| <= gamma_{n+1} |R†| |R|
+#     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+#     Thm 10.3; complex arithmetic at most quadruples the constant), and
+#     || |R†| |R| ||_2 <= ||R||_F^2 = tr(A + dA) <= tr A / (1 - 4 gamma_{n+1}),
+#     tr A <= (1 + u) (s + n |c|), so ||dA||_2 <= 4.1 (n + 1) u (s + n |c|).
+# Their sum stays below 4.2 (n + 1) u (f + s + (n + 1) |c|), and then every
+# w >= c - slack(c) - e.  The code takes L = 0.99 f / sqrt(n) - e (at least
+# 0) and c = floor + S with
+#     S = 1.25 (e + 5 (n + 1) u (f + s + (n + 2) |floor|)).
+# For n <= 1024, |c| <= |floor| + S <= (1 + 1e-9) |floor| + 6e-12 (f + s), so
+# S - slack(c) - e >= 0.25 e + 2 (n + 1) u (f + s) + 20 u |floor|.  That
+# remainder exceeds the rounding made in forming f, s, L and c and in the
+# rule's own comparison: relative errors of at most n^2 u <= 2^-33 in f and
+# s, a few u elsewhere, and the 0.99 in L covers the rounding of f / sqrt(n).
+# So a completed Cholesky proves every w >= floor: the rule passes, and with
+# psd_tol = 0 no w is negative.  Underflow in the products adds an absolute
+# error of order n^2 2^-1074 (1 + f), below u f once f >= 2^-500; with
+# f <= 2^500 no entry, product or partial sum overflows.  Outside those
+# limits, for n = 0 and for n > 1024 the certificate is skipped.  With
+# psd_tol > 0 it is also skipped when S > |floor| / 2, where c would pass no
+# exactly singular h.  For spectra of comparable magnitudes (s / f near
+# sqrt(n)) that happens at DEFAULT_TOL (1e-9) only for n above about 1000,
+# and at STRICT_TOL (1e-11) from n near 80 on.
+_PSD_MAX_N = 1024
+
+
+def _cholesky_certifies_psd(h: np.ndarray, psd_tol: float) -> bool:
+    """Whether one Cholesky of h - c I proves that every eigenvalue
+    ``eigvalsh(h)`` returns is at least -psd_tol * (1 + L) (see the bound
+    above).  ``h``, exactly Hermitian, is shifted in place and restored."""
+    n = h.shape[0]
+    if not 0 < n <= _PSD_MAX_N:
+        return False
+    with np.errstate(over="ignore", under="ignore"):  # tested just below
+        f = fro(h)
+    if not 2.0**-500 <= f <= 2.0**500:  # also false for a NaN norm
+        return False
+    diag = h.flat[:: n + 1]  # a copy
+    s = float(np.abs(diag).sum())
+    e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
+    floor = -psd_tol * (1.0 + max(0.99 * f / math.sqrt(n) - e, 0.0))
+    slack = 1.25 * (e + 5.0 * (n + 1) * _UNIT_ROUNDOFF * (f + s - (n + 2) * floor))
+    if floor < 0.0 and slack > -floor / 2:  # no exactly singular h would pass
+        return False
+    h.flat[:: n + 1] = diag - (floor + slack)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return False
+    finally:
+        h.flat[:: n + 1] = diag
+    return True
+
+
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Hermitian within cmp_tol and spectrum above -psd_tol * (1 + max|eig|)."""
+    """Hermitian within cmp_tol and spectrum above -psd_tol * (1 + max|eig|);
+    ``eigvalsh`` runs only when :func:`_cholesky_certifies_psd` cannot decide."""
     a = as_matrix(m)
     if not is_hermitian(a, cfg):
         return False
-    return spectrum_is_psd(np.linalg.eigvalsh(0.5 * (a + a.conj().T)), cfg)
+    h = 0.5 * (a + a.conj().T)
+    return _cholesky_certifies_psd(h, cfg.psd_tol) or spectrum_is_psd(np.linalg.eigvalsh(h), cfg)
 
 
 def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:

@@ -122,16 +122,17 @@ class ExtendibilityReport:
 
 
 def _validated(
-    p: PartialOperator, cfg: ToleranceConfig
+    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool = False
 ) -> tuple[ValidationReport, nc.HermitianEigen | None]:
     """The one validation pass, plus what it computed along the way.
 
     Returns the report and the eigendecomposition of G whose eigenvalues
-    the PSD test read (None when G is not Hermitian).
+    the PSD test read (None when G is not Hermitian).  With ``rank_decided``
+    an earlier pass accepted D, and its rank is not tested again.
     """
     failures = []
     g = p.gram()
-    if not nc.full_column_rank(p.domain_basis, cfg):
+    if not (rank_decided or nc.full_column_rank(p.domain_basis, cfg)):
         failures.append("rank_deficient_domain")
     try:
         eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
@@ -192,11 +193,11 @@ class GramSpectrum:
         return float(np.max(np.linalg.eigvalsh(jj), initial=0.0))
 
     def form(self, v) -> float:
-        """v† G+ v for a domain coefficient vector v; +inf when v is not in ran G."""
+        """v† G+ v for domain coefficients v; +inf off ran G, ResultOutOfRange on overflow."""
         coords = nc._span_coords(v, self.u, self.cfg)
         if coords is None:
             return math.inf
-        return float(np.sum(np.abs(coords) ** 2 / self.lam))
+        return float(nc._finite(np.sum(np.abs(coords) ** 2 / self.lam), "quadratic form v† G+ v"))
 
 
 def gram_spectrum(
@@ -217,7 +218,12 @@ def gram_spectrum(
     Raises the :class:`InvalidOperator` subclass naming the first
     validation failure.
     """
-    report, eig = _validated(p, cfg)
+    return _spectrum(p, cfg, False)
+
+
+def _spectrum(p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool) -> GramSpectrum:
+    """:func:`gram_spectrum`; see :func:`_validated` for ``rank_decided``."""
+    report, eig = _validated(p, cfg, rank_decided)
     report.raise_if_invalid()
     keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action)
     lam, u, kernel = nc._split(eig, keep)

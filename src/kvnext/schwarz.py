@@ -74,15 +74,13 @@ class _Family:
         h = rng.standard_normal(coupling.shape[0]) + 1j * rng.standard_normal(
             coupling.shape[0]
         )
-        estimate = 0.0
         for _ in range(max(int(iterations), 1)):
             h = coupling @ h
             norm = np.linalg.norm(h)
             if norm <= 0.0:
                 return 0.0
             h = h / norm
-            estimate = float(np.linalg.norm(v.conj().T @ h) ** 2)
-        return estimate
+        return float(np.linalg.norm(v.conj().T @ h) ** 2)
 
 
 def _checked_family(ops, vecs, cfg: ToleranceConfig) -> tuple[_Family, list[np.ndarray]]:

@@ -31,7 +31,7 @@ RUN2 = PartialOperator(E1, np.array([[1.0], [1.0]], dtype=complex))
 HALMOS = PartialOperator(E1, np.array([[0.0], [1.0]], dtype=complex))
 
 
-def test_each_construction_factors_the_gram_once(lapack_calls):
+def test_each_construction_factors_the_gram_once(lapack_calls, monkeypatch):
     rng = rng_for(2024)
     t = random_psd(rng, 8)
     basis = orthonormal_columns(rng, 8, 4)
@@ -45,15 +45,22 @@ def test_each_construction_factors_the_gram_once(lapack_calls):
     counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "norm2", "cholesky"))
     assert counts == (1, 1, 0, 0, 1)
 
+    # one eigh of G per operator (A, then B D - Ad); Cholesky certificates
+    # decide the rank of D once, B - a_n >= 0, and both Loewner tests
+    # a_n <= T <= a_max, so no eigvalsh runs
     lapack_calls.clear()
     assert in_interval(p, bound, t)
-    assert lapack_calls["eigh"] <= 2
-    assert lapack_calls["eigvalsh"] <= 3
-    assert lapack_calls["svd"] <= 2
+    counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "cholesky"))
+    assert counts == (2, 0, 0, 4)
 
+    rank_tests = []
+    full_column_rank = nc.full_column_rank
+    monkeypatch.setattr(nc, "full_column_rank", lambda *a: rank_tests.append(1) or full_column_rank(*a))
     lapack_calls.clear()
     a_max(p, bound)
-    assert lapack_calls["eigvalsh"] == 1
+    assert tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "cholesky")) == (2, 0, 2)
+    # the shifted operator has the same D, whose rank verdict is reused
+    assert len(rank_tests) == 1
 
 
 @pytest.mark.parametrize("fn", [nc.psd_sqrt, nc.pseudo_inverse])
@@ -108,8 +115,9 @@ def test_bounded_extend_computes_the_interval_once(lapack_calls, tmp_path):
 def test_kernel_command_tests_positivity_once(lapack_calls, tmp_path):
     argv = ["kernel", str(FIXTURES / "kernel_m2_ones.json"), "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    # the report's positive_definite; a_n is PSD by construction
-    assert lapack_calls["eigvalsh"] == 1
+    # the rank certificate of D, then the report's positive_definite, which
+    # a Cholesky certificate decides; a_n is PSD by construction
+    assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (0, 2)
 
 
 def test_schwarz_command_factors_each_operator_once(lapack_calls, tmp_path):

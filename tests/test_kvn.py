@@ -11,6 +11,7 @@ from kvnext import (
     is_psd,
     krein_von_neumann,
     loewner_leq,
+    my_constant,
     qform_shift,
     qform_sup,
     sample_extensions,
@@ -170,3 +171,19 @@ def test_results_that_overflow_raise_result_out_of_range():
     with pytest.raises(ResultOutOfRange) as exc:
         is_extendible(p)
     assert str(exc.value) == "Hilbert bound: j† j overflows the float range"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_forms_and_embeddings_that_overflow_raise_result_out_of_range():
+    # G = 1e-131 and v = Ad† e1 = 1e170: v lies in ran G, and v† G+ v is
+    # about 1e471, which is not "+inf, off the range of G"
+    p = PartialOperator([[1e-301], [0]], [[1e170], [0]])
+    y = np.array([1.0, 0.0])
+    for fn in (qform_sup, my_constant):
+        with pytest.raises(ResultOutOfRange) as exc:
+            fn(p, y)
+        assert str(exc.value) == "quadratic form v† G+ v overflows the float range"
+    # G = 1e-20 against Ad = 1e300: j = Ad U Lam^{-1/2} is about 1e310
+    with pytest.raises(ResultOutOfRange) as exc:
+        ha_factorization(PartialOperator([[1e-320], [0]], [[1e300], [0]]))
+    assert str(exc.value) == "embedding j = Ad U Lam^{-1/2} overflows the float range"
