@@ -7,7 +7,7 @@ block matrices, and extends functionals on left ideals of *-algebras
 through the GNS construction.
 """
 
-from .commutation import CommutationReport, check_intertwining, verify_commutation
+from .commutation import CommutationReport, verify_commutation
 from .extension_set import (
     CompletionReport,
     IntervalResult,
@@ -29,7 +29,6 @@ from .kvn import (
     HAFactorization,
     KvnResult,
     an_norm,
-    ha_factorization,
     krein_von_neumann,
     qform_shift,
     qform_sup,
@@ -42,16 +41,13 @@ from .numcore import (
     hermitian_eigen,
     is_psd,
     loewner_leq,
-    pseudo_inverse,
     psd_sqrt,
-    range_included,
 )
 from .partial_op import (
     ExtendibilityReport,
     GramSpectrum,
     PartialOperator,
     ValidationReport,
-    full_domain,
     gram_spectrum,
     hilbert_bound,
     is_extendible,

@@ -22,7 +22,7 @@ from . import numcore as nc
 from .errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
 from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, gram_spectrum, validate
+from .partial_op import PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -61,20 +61,6 @@ def _hypothesis_status(
         raise HypothesesFail("C† A = A B fails on the domain")
     if nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]) > scale:
         raise HypothesesFail("B† A = A C fails on the domain")
-
-
-def check_intertwining(
-    p: PartialOperator, b, c, cfg: ToleranceConfig = DEFAULT_TOL
-) -> bool:
-    """Whether B, C leave dom A invariant and intertwine with A on it."""
-    bm = nc.as_matrix(b, "B")
-    cm = nc.as_matrix(c, "C")
-    validate(p, cfg).raise_if_invalid()
-    try:
-        _hypothesis_status(p, bm, cm, cfg)
-    except HypothesesFail:
-        return False
-    return True
 
 
 def verify_commutation(

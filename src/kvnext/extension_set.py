@@ -118,7 +118,7 @@ def in_interval(
     # a_n <= cm <= a_max in the Loewner order; both ends are Hermitian by
     # construction, so only the candidate's symmetry needs its one test
     if not nc.is_hermitian(cm, cfg):
-        raise NotHermitian("B is not Hermitian within tolerance")
+        raise NotHermitian("candidate is not Hermitian within tolerance")
     return nc.is_psd(cm - interval.a_n, cfg) and nc.is_psd(interval.a_max - cm, cfg)
 
 

@@ -86,14 +86,6 @@ def kernel_from_operator(
     return Kernel(blocks=_blocks(mat, m, n).copy())
 
 
-def block_symmetry_residual(kernel: Kernel) -> float:
-    """Largest deviation from the adjoint symmetry K(s,t)† = K(t,s), read
-    blockwise off A - A†, whose block (t, s) is K(s,t) - K(t,s)†."""
-    a = operator_from_kernel(kernel)
-    residual = _blocks(a - a.conj().T, kernel.m, kernel.n)
-    return float(np.max(np.linalg.norm(residual, axis=(2, 3)), initial=0.0))
-
-
 def is_positive_definite_kernel(
     kernel: Kernel, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:

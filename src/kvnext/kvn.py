@@ -36,14 +36,11 @@ from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 @dataclass(frozen=True)
 class HAFactorization:
-    """Matrices of J and J* on an orthonormal basis of H_A (r = rank G)."""
+    """Matrix of J on an orthonormal basis of H_A (r = rank G); J* is its
+    conjugate transpose."""
 
     r: int
     j_matrix: np.ndarray
-
-    @property
-    def j_star_matrix(self) -> np.ndarray:
-        return self.j_matrix.conj().T
 
 
 @dataclass(frozen=True)
@@ -70,19 +67,6 @@ def _minimal_extension(spec: GramSpectrum) -> np.ndarray:
     image = _extendible(spec).op.action @ spec.u
     a_n = (image / spec.lam) @ image.conj().T
     return _finite(0.5 * (a_n + a_n.conj().T), "minimal extension a_n = Ad G+ Ad†")
-
-
-def ha_factorization(
-    p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL
-) -> HAFactorization:
-    """Spectral-coordinate realization of J and J*.
-
-    The Gram of the embedded domain images reproduces the H_A inner
-    product, and ``j_star_matrix @ D`` returns the H_A coordinates of the
-    action, which is the defining identity J* x = A x on dom A.
-    """
-    spec = _extendible(gram_spectrum(p, cfg))
-    return HAFactorization(r=spec.r, j_matrix=_finite(spec.j, "embedding j = Ad U Lam^{-1/2}"))
 
 
 def krein_von_neumann(
@@ -115,12 +99,13 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
 
     The maximizer solves G c = v on ran G; evaluating the shifted form
     there gives the same value as :func:`qform_sup`, through a different
-    arithmetic path.
+    arithmetic path; ResultOutOfRange when that path overflows.
     """
     spec = _extendible(gram_spectrum(p, cfg))
     v = p.adjoint_action(y)
     c = spec.u @ ((spec.u.conj().T @ v) / spec.lam)
-    return float(2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ spec.gram @ c))
+    value = 2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ spec.gram @ c)
+    return float(_finite(value, "shifted form 2 Re v† c - c† G c"))
 
 
 def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

@@ -362,16 +362,6 @@ def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:
     raise NotPsd("matrix is not positive semidefinite within tolerance")
 
 
-def pseudo_inverse(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
-    """Moore-Penrose inverse of a Hermitian PSD matrix via its spectrum.
-
-    Eigenvalues below ``rank_rel_eps`` times the largest one are treated as
-    exact zeros, so the result is supported on the numerical range only.
-    """
-    lam, u = _kept(_psd_eigen(m, cfg), cfg)
-    return (u / lam) @ u.conj().T
-
-
 def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     """Positive square root S of a PSD matrix, S @ S = M within cmp_tol.
 
@@ -418,21 +408,3 @@ def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarr
         return None
     return coords
 
-
-def range_included(x, y, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether every column of X lies in the column space of Y.
-
-    ran(Y) is spanned by the left singular vectors of one thin SVD of Y
-    whose singular values pass :func:`full_column_rank`'s rule,
-    sigma > rank_rel_eps * sigma_max; X must lie in their span
-    (:func:`_span_coords`).
-    """
-    xm = as_matrix(x, "X")
-    ym = as_matrix(y, "Y")
-    if xm.shape[0] != ym.shape[0]:
-        raise ShapeMismatch(f"row counts differ: {xm.shape[0]} vs {ym.shape[0]}")
-    if xm.size == 0:
-        return True
-    u, sv, _ = np.linalg.svd(ym, full_matrices=False)
-    keep = sv > cfg.rank_rel_eps * float(np.max(sv, initial=0.0))
-    return _span_coords(xm, u[:, keep], cfg) is not None

@@ -83,14 +83,6 @@ class PartialOperator:
         return self.action.conj().T @ yv
 
 
-def full_domain(matrix) -> PartialOperator:
-    """Everywhere-defined operator: domain basis is the identity."""
-    m = nc.as_matrix(matrix)
-    if m.shape[0] != m.shape[1]:
-        raise ShapeMismatch("everywhere-defined operator must be square")
-    return PartialOperator(np.eye(m.shape[0], dtype=np.complex128), m)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     ok: bool

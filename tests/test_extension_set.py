@@ -13,7 +13,7 @@ from kvnext import (
     sample_extensions,
 )
 from kvnext import numcore as nc
-from kvnext.errors import BoundTooSmall, NotPsd, ResultOutOfRange, ShapeMismatch
+from kvnext.errors import BoundTooSmall, NotHermitian, NotPsd, ResultOutOfRange, ShapeMismatch
 from kvnext.partial_op import gram_spectrum
 from util_gen import (
     dominating_bound,
@@ -78,6 +78,13 @@ def test_in_interval_examples():
     assert not in_interval(RUN2, b, np.eye(2))
     with pytest.raises(ShapeMismatch):
         in_interval(RUN2, b, np.eye(3))
+    for bound, candidate, name in (
+        (b, [[1.0, 1.0], [0.0, 1.5]], "candidate"),
+        ([[3.0, 1.0], [0.0, 3.0]], ONES, "bound"),
+    ):
+        with pytest.raises(NotHermitian) as exc:
+            in_interval(RUN2, bound, candidate)
+        assert (type(exc.value), str(exc.value)) == (NotHermitian, f"{name} is not Hermitian within tolerance")
 
 
 def test_sample_extensions_endpoints_and_determinism():

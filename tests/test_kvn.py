@@ -4,8 +4,6 @@ import pytest
 from kvnext import (
     PartialOperator,
     an_norm,
-    full_domain,
-    ha_factorization,
     hilbert_bound,
     is_extendible,
     is_psd,
@@ -35,29 +33,27 @@ HALMOS = PartialOperator(E1, np.array([[0.0], [1.0]], dtype=complex))
 
 def test_factorization_empty_domain():
     p = PartialOperator(np.zeros((2, 0)), np.zeros((2, 0)))
-    fact = ha_factorization(p)
-    assert fact.r == 0 and fact.j_matrix.shape == (2, 0)
     res = krein_von_neumann(p)
+    assert res.factorization.r == 0 and res.factorization.j_matrix.shape == (2, 0)
     assert np.array_equal(res.a_n, np.zeros((2, 2)))
     assert res.norm == 0.0
 
 
 def test_factorization_running_example():
-    fact = ha_factorization(RUN2)
+    fact = krein_von_neumann(RUN2).factorization
     assert fact.r == 1
     assert np.allclose(fact.j_matrix, [[1.0], [1.0]])
-    assert np.allclose(fact.j_star_matrix, fact.j_matrix.conj().T)
 
 
 def test_factorization_reconstructs_everywhere_defined():
     a = random_psd(rng_for(2), 5, rank=3)
-    fact = ha_factorization(full_domain(a))
-    assert np.max(np.abs(fact.j_matrix @ fact.j_star_matrix - a)) <= 1e-9
+    j = krein_von_neumann(PartialOperator(np.eye(5), a)).factorization.j_matrix
+    assert np.max(np.abs(j @ j.conj().T - a)) <= 1e-9
 
 
 def test_krein_examples():
     a = random_psd(rng_for(4), 4)
-    res = krein_von_neumann(full_domain(a))
+    res = krein_von_neumann(PartialOperator(np.eye(4), a))
     assert np.max(np.abs(res.a_n - a)) <= 1e-9
 
     res2 = krein_von_neumann(RUN2)
@@ -78,15 +74,12 @@ def test_result_invariants_on_random_instances():
             1.0 + nc.fro(p.action)
         )
         # factorization agrees with the closed form
-        fact = res.factorization
-        assert nc.fro(fact.j_matrix @ fact.j_star_matrix - res.a_n) <= 1e-8 * (
-            1.0 + nc.fro(res.a_n)
-        )
-        assert np.array_equal(fact.j_star_matrix, fact.j_matrix.conj().T)
+        j = res.factorization.j_matrix
+        assert nc.fro(j @ j.conj().T - res.a_n) <= 1e-8 * (1.0 + nc.fro(res.a_n))
         # j* returns auxiliary-space coordinates of the action on the domain
         lam, u = nc._kept(nc.hermitian_eigen(p.gram()), nc.DEFAULT_TOL)
         coords = np.sqrt(lam)[:, None] * u.conj().T
-        assert nc.fro(fact.j_star_matrix @ p.domain_basis - coords) <= 1e-7 * (
+        assert nc.fro(j.conj().T @ p.domain_basis - coords) <= 1e-7 * (
             1.0 + nc.fro(coords)
         )
         # norm is the top eigenvalue
@@ -132,7 +125,7 @@ def test_qform_agreement_and_oracle():
 
 
 def test_norm_identity():
-    assert an_norm(full_domain(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+    assert an_norm(PartialOperator(np.eye(3), np.eye(3))) == pytest.approx(1.0, abs=1e-12)
     assert an_norm(RUN2) == pytest.approx(2.0, abs=1e-12)
     rng = rng_for(111)
     for _ in range(25):
@@ -147,7 +140,7 @@ def test_idempotence():
     for _ in range(10):
         p = random_partial(rng, force="extendible")
         a_n = krein_von_neumann(p).a_n
-        again = krein_von_neumann(full_domain(a_n)).a_n
+        again = krein_von_neumann(PartialOperator(np.eye(p.n), a_n)).a_n
         assert nc.fro(again - a_n) <= 1e-9 * (1.0 + nc.fro(a_n))
 
 
@@ -183,7 +176,13 @@ def test_forms_and_embeddings_that_overflow_raise_result_out_of_range():
         with pytest.raises(ResultOutOfRange) as exc:
             fn(p, y)
         assert str(exc.value) == "quadratic form v† G+ v overflows the float range"
-    # G = 1e-20 against Ad = 1e300: j = Ad U Lam^{-1/2} is about 1e310
+    # the stationary point c is about 1e301, but 2 Re v† c and c† G c both
+    # overflow, and their difference would be NaN
     with pytest.raises(ResultOutOfRange) as exc:
-        ha_factorization(PartialOperator([[1e-320], [0]], [[1e300], [0]]))
-    assert str(exc.value) == "embedding j = Ad U Lam^{-1/2} overflows the float range"
+        qform_shift(p, y)
+    assert str(exc.value) == "shifted form 2 Re v† c - c† G c overflows the float range"
+    # G = 1e-20 against Ad = 1e300: j = Ad U Lam^{-1/2} is about 1e310, and
+    # so is every diagonal entry of a_n = j j†
+    with pytest.raises(ResultOutOfRange) as exc:
+        krein_von_neumann(PartialOperator([[1e-320], [0]], [[1e300], [0]]))
+    assert str(exc.value) == "minimal extension a_n = Ad G+ Ad† overflows the float range"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from kvnext import PartialOperator, full_domain, hilbert_bound, is_extendible, my_constant, validate
+from kvnext import PartialOperator, hilbert_bound, is_extendible, my_constant, validate
 from kvnext.errors import InvalidOperator, ShapeMismatch
 from util_gen import qform_oracle, random_partial, random_vector, rng_for
 
@@ -60,7 +60,7 @@ def test_running_example_bound_two():
 
 
 def test_identity_bound_one():
-    assert hilbert_bound(full_domain(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+    assert hilbert_bound(PartialOperator(np.eye(3), np.eye(3))) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_my_constant_examples():
