@@ -9,7 +9,9 @@ same relations hold globally for the minimal extension:
 The hypotheses are read off one QR factorization D = q r of the validated
 domain basis and compared columnwise; spectral boundedness of B C on the
 domain, required in wider generality, is automatic here and recorded as
-such.
+such.  The conclusion is read off the factor y = Ad U of a_n = w y†,
+w = y Lam^{-1}, without forming a_n: C† a_n - a_n B = [C† y Lam^{-1}, -w]
+[y, B† y]†, and ||a_n||_F = ||j† j||_F for j = y Lam^{-1/2}.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
-from .kvn import _minimal_extension
+from .kvn import _A_N, _extendible
 from .numcore import DEFAULT_TOL, ToleranceConfig
 from .partial_op import PartialOperator, gram_spectrum
 
@@ -76,10 +78,14 @@ def verify_commutation(
     cm = nc.as_matrix(c, "C")
     spec = gram_spectrum(p, cfg)
     _hypothesis_status(p, bm, cm, cfg)
-    a_n = _minimal_extension(spec)
-    residual_cb = nc.fro(cm.conj().T @ a_n - a_n @ bm)
-    residual_bc = nc.fro(bm.conj().T @ a_n - a_n @ cm)
-    tol = cfg.cmp_tol * (1.0 + nc.fro(a_n) * max(nc.fro(bm), nc.fro(cm)))
+    y = _extendible(spec).op.action @ spec.u
+    w = y / spec.lam
+    by, cy = bm.conj().T @ y, cm.conj().T @ y
+    residual_cb = nc.fro(np.hstack([cy / spec.lam, -w]) @ np.hstack([y, by]).conj().T)
+    residual_bc = nc.fro(np.hstack([by / spec.lam, -w]) @ np.hstack([y, cy]).conj().T)
+    j = y / np.sqrt(spec.lam)
+    a_n_fro = nc.fro(nc._finite(j.conj().T @ j, _A_N))
+    tol = cfg.cmp_tol * (1.0 + a_n_fro * max(nc.fro(bm), nc.fro(cm)))
     return CommutationReport(
         hypotheses_hold=True,
         residual_cb=residual_cb,

@@ -67,16 +67,17 @@ def _interval(
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     if not nc.is_hermitian(b, cfg):
         raise NotHermitian("bound is not Hermitian within tolerance")
-    gap = b - a_n
-    gap = 0.5 * (gap + gap.conj().T)
-    # a certificate with floor 0 proves the test passes without the warning
+    gap = nc._herm(b - a_n)
+    # a certificate with floor 0 proves the test passes without the warning;
+    # eigvalsh decides only what neither certificate can
     if not nc._cholesky_certifies_psd(gap, 0.0):
-        ev = np.linalg.eigvalsh(gap)
-        if not nc.spectrum_is_psd(ev, cfg):
+        ev = None if nc._cholesky_refutes_psd(gap, cfg.psd_tol) else np.linalg.eigvalsh(gap)
+        if ev is None or not nc.spectrum_is_psd(ev, cfg):
+            w, v = np.linalg.eigh(gap)
             raise BoundTooSmall(
                 f"bound does not dominate the minimal extension "
-                f"(violation {float(ev[0]):.3e} along a certificate direction)",
-                certificate=np.linalg.eigh(gap)[1][:, 0],
+                f"(violation {float(w[0]):.3e} along a certificate direction)",
+                certificate=v[:, 0],
             )
         if ev.size and ev[0] < 0.0:
             warnings.warn(
@@ -87,8 +88,7 @@ def _interval(
     # the spectrum a_n came from accepted D, so the shifted operator on the
     # same D skips the rank test
     shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
-    top = b - _minimal_extension(_spectrum(shifted, cfg, rank_decided=True))
-    top = 0.5 * (top + top.conj().T)
+    top = nc._herm(b - _minimal_extension(_spectrum(shifted, cfg, rank_decided=True)))
     return IntervalResult(
         a_n=a_n,
         a_max=top,
@@ -142,8 +142,7 @@ def _samples(
     interval: IntervalResult, count: int, seed: int, cfg: ToleranceConfig
 ) -> list[np.ndarray]:
     """:func:`sample_extensions`, drawn from an interval already computed."""
-    spread = interval.a_max - interval.a_n
-    spread = 0.5 * (spread + spread.conj().T)
+    spread = nc._herm(interval.a_max - interval.a_n)
     try:
         s_half = nc.psd_sqrt(spread, cfg)
     except NotPsd as exc:
@@ -156,7 +155,7 @@ def _samples(
         q = np.linalg.qr(z)[0]
         w = (q * rng.uniform(0.0, 1.0, n)) @ q.conj().T
         m = interval.a_n + s_half @ w @ s_half
-        samples.append(0.5 * (m + m.conj().T))
+        samples.append(nc._herm(m))
     return samples
 
 
@@ -199,9 +198,8 @@ def halmos_complete(
     bounded = nc._kernel_witness(a21m, kernel, cfg) is None
     if bounded:
         s = nc._sqrt_pinv(eig, cfg)
-        coupling = s @ (a21m.conj().T @ a21m) @ s
         coupling = nc._finite(
-            0.5 * (coupling + coupling.conj().T), "coupling A11^{+1/2} A21† A21 A11^{+1/2}"
+            nc._herm(s @ (a21m.conj().T @ a21m) @ s), "coupling A11^{+1/2} A21† A21 A11^{+1/2}"
         )
         bound_constant = float(np.max(np.linalg.eigvalsh(coupling), initial=0.0))
     else:
@@ -214,10 +212,8 @@ def halmos_complete(
     completion = None
     if spec.extendible:
         j_lower = spec.j[k:]  # A21 U Lam^{-1/2}, so j_lower j_lower† = A21 A11+ A21†
-        a22_min = j_lower @ j_lower.conj().T
-        a22_min = 0.5 * (a22_min + a22_min.conj().T)
-        completion = np.block([[a11m, a21m.conj().T], [a21m, a22_min]])
-        completion = 0.5 * (completion + completion.conj().T)
+        a22_min = nc._herm(j_lower @ j_lower.conj().T)
+        completion = nc._herm(np.block([[a11m, a21m.conj().T], [a21m, a22_min]]))
     return CompletionReport(
         completable=spec.extendible,
         bounded=bounded,

@@ -17,10 +17,10 @@ Minimality and the two closed-form expressions for the quadratic form
 against each other and against brute-force maximization.
 
 Each operation factors G exactly once, through
-``partial_op.gram_spectrum``, and reads U_r, Lam_r, j and the
-extendibility verdict off that one spectrum.  The norm of a_n is the
-Hilbert bound, the top eigenvalue of the r x r matrix j† j, so no n x n
-eigensolve is needed.
+``partial_op.gram_spectrum``, and reads U_r, Lam_r and the extendibility
+verdict off that one spectrum; j is formed from them when first read.
+The norm of a_n is the Hilbert bound, the top eigenvalue of the r x r
+matrix j† j, so no n x n eigensolve is needed.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotExtendible
-from .numcore import DEFAULT_TOL, ToleranceConfig, _finite
+from .numcore import DEFAULT_TOL, ToleranceConfig, _finite, _herm
 from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
@@ -50,6 +50,10 @@ class KvnResult:
     norm: float
 
 
+# What ResultOutOfRange names when a_n, or a quantity read off it, overflows.
+_A_N = "minimal extension a_n = Ad G+ Ad†"
+
+
 def _extendible(spec: GramSpectrum) -> GramSpectrum:
     """``spec`` itself, or NotExtendible carrying its witness."""
     if not spec.extendible:
@@ -66,7 +70,7 @@ def _minimal_extension(spec: GramSpectrum) -> np.ndarray:
     raises ResultOutOfRange when it overflows."""
     image = _extendible(spec).op.action @ spec.u
     a_n = (image / spec.lam) @ image.conj().T
-    return _finite(0.5 * (a_n + a_n.conj().T), "minimal extension a_n = Ad G+ Ad†")
+    return _finite(_herm(a_n), _A_N)
 
 
 def krein_von_neumann(

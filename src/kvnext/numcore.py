@@ -11,8 +11,10 @@ Conventions used across the package:
   Gram matrices of partial operators scale the cutoff by the data
   instead; see ``partial_op.gram_spectrum``.
 * Positivity tolerates eigenvalues down to ``-psd_tol * (1 + max|eig|)``
-  (:func:`spectrum_is_psd`), which absorbs eigensolver noise; :func:`is_psd`
-  proves it by one Cholesky when it can and reads ``eigvalsh`` otherwise.
+  (:func:`spectrum_is_psd`), which absorbs eigensolver noise.  :func:`is_psd`
+  proves the verdict by one Cholesky of a shifted matrix when it can: one
+  that runs to completion below the floor accepts, one that fails above it
+  refutes; ``eigvalsh`` decides only the band between the two shifts.
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -94,8 +96,27 @@ def _require_square(m: np.ndarray, name: str) -> None:
         raise NotSquare(f"{name} must be square, got shape {m.shape}")
 
 
+def _adjoint(x: np.ndarray) -> np.ndarray:
+    """x† as a fresh C-contiguous array: one strided copy, conjugated in place."""
+    t = x.T.copy()
+    np.conjugate(t, out=t)
+    return t
+
+
+def _herm(x: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
+    """The Hermitian part 0.5 * (x + x.conj().T), bit for bit, accumulated in
+    place into ``adj`` (x†, formed here when not given; it is overwritten)."""
+    h = _adjoint(x) if adj is None else adj
+    h += x
+    h *= 0.5
+    return h
+
+
 def hermitian_residual(m: np.ndarray) -> float:
-    return fro(m - m.conj().T)
+    """||m - m†||_F."""
+    r = _adjoint(m)
+    np.subtract(m, r, out=r)
+    return fro(r)
 
 
 def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -118,14 +139,22 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     function of the Hermitian part only; inputs whose anti-Hermitian part
     exceeds ``cmp_tol`` relative are rejected.
     """
-    a = as_matrix(m)
-    if not is_hermitian(a, cfg):
-        raise NotHermitian(
-            f"symmetry residual {hermitian_residual(a):.3e} exceeds tolerance"
-        )
-    h = 0.5 * (a + a.conj().T)
+    residual, h = _checked_herm(as_matrix(m), cfg)
+    if h is None:
+        raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
     w, v = np.linalg.eigh(h)
     return HermitianEigen(eigenvalues=w, eigenvectors=v)
+
+
+def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarray | None]:
+    """(||a - a†||_F, Hermitian part of ``a``), the part None when
+    :func:`is_hermitian` rejects ``a``; a† is formed once for both."""
+    _require_square(a, "matrix")
+    adj = _adjoint(a)
+    residual = fro(a - adj)
+    if not residual <= cfg.cmp_tol * (1.0 + fro(a)):
+        return residual, None
+    return residual, _herm(a, adj)
 
 
 # Rank certificate.  Let M = fl(m† m), t = tr M and u the unit roundoff.
@@ -341,22 +370,73 @@ def _cholesky_certifies_psd(h: np.ndarray, psd_tol: float) -> bool:
     return True
 
 
+# Refuting certificate.  With h, f, n, u and e as above, let c > 0 and
+# A = fl(h + c I); the shift rounds each diagonal entry once, so
+# A = h + c I + dD with dD diagonal, ||dD||_2 <= u (f + c), and every
+# A_ii <= (1 + u) (f + c).  Demmel's theorem (Higham, 2nd ed., Thm 10.7)
+# says that the Cholesky factorization of a Hermitian A with positive
+# diagonal runs to completion, barring underflow and overflow, when
+# lambda_min(D^-1 A D^-1) > n gamma_{n+1} / (1 - gamma_{n+1}), D = diag(A)^1/2;
+# complex arithmetic at most quadruples the constant, and for n <= 1024 it
+# stays below 4.1 n (n + 1) u.  Since lambda_min(D^-1 A D^-1) >=
+# lambda_min(A) / max A_ii whenever lambda_min(A) > 0, a Cholesky that fails
+# proves lambda_min(A) <= 4.1 n (n + 1) u max A_ii, hence
+#     lambda_min(h) <= -c + delta (f + c),   delta = 4.2 (n + 1)^2 u.
+# eigvalsh then returns some w <= lambda_min(h) + e, and max|w| <= f + e, so
+# the rule of spectrum_is_psd fails when -c + delta (f + c) + e lies below
+# -psd_tol (1 + f + e).  The code takes
+#     c = 1.25 (psd_tol (1 + f + e) + e + delta f),
+# for which c (1 - delta) exceeds that requirement by at least 0.19 c: far
+# more than the rounding of f, e and c (relative errors of at most n^2 u), of
+# the rule's own comparison (a few u), and the absolute error of order
+# n^2 2^-1074 (1 + f) that underflow adds, below u f once f >= 2^-500.  So a
+# failed Cholesky proves that the rule rejects h.  The guards are those of
+# the PSD certificate: n in (0, 1024] and f in [2^-500, 2^500], where no
+# entry, product or partial sum of A overflows.
+
+
+def _cholesky_refutes_psd(h: np.ndarray, psd_tol: float) -> bool:
+    """Whether one failed Cholesky of h + c I proves that some eigenvalue
+    ``eigvalsh(h)`` returns lies below -psd_tol * (1 + max|w|) (see the bound
+    above).  ``h``, exactly Hermitian, is shifted in place and restored."""
+    n = h.shape[0]
+    if not 0 < n <= _PSD_MAX_N:
+        return False
+    with np.errstate(over="ignore", under="ignore"):  # tested just below
+        f = fro(h)
+    if not 2.0**-500 <= f <= 2.0**500:  # also false for a NaN norm
+        return False
+    diag = h.flat[:: n + 1]  # a copy
+    e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
+    demmel = 4.2 * (n + 1) ** 2 * _UNIT_ROUNDOFF * f
+    h.flat[:: n + 1] = diag + 1.25 * (psd_tol * (1.0 + f + e) + e + demmel)
+    try:
+        np.linalg.cholesky(h)
+    except np.linalg.LinAlgError:
+        return True
+    finally:
+        h.flat[:: n + 1] = diag
+    return False
+
+
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Hermitian within cmp_tol and spectrum above -psd_tol * (1 + max|eig|);
-    ``eigvalsh`` runs only when :func:`_cholesky_certifies_psd` cannot decide."""
-    a = as_matrix(m)
-    if not is_hermitian(a, cfg):
+    ``eigvalsh`` runs only when neither :func:`_cholesky_certifies_psd` nor
+    :func:`_cholesky_refutes_psd` decides."""
+    h = _checked_herm(as_matrix(m), cfg)[1]
+    if h is None:
         return False
-    h = 0.5 * (a + a.conj().T)
-    return _cholesky_certifies_psd(h, cfg.psd_tol) or spectrum_is_psd(np.linalg.eigvalsh(h), cfg)
+    if _cholesky_certifies_psd(h, cfg.psd_tol):
+        return True
+    return not _cholesky_refutes_psd(h, cfg.psd_tol) and spectrum_is_psd(np.linalg.eigvalsh(h), cfg)
 
 
 def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:
     """``eigh`` of a matrix that passes :func:`is_psd`, the test read off its
     eigenvalues; raises NotPsd otherwise, also for non-Hermitian input."""
-    a = as_matrix(m)
-    if is_hermitian(a, cfg):  # raises NotSquare first
-        w, v = np.linalg.eigh(0.5 * (a + a.conj().T))
+    h = _checked_herm(as_matrix(m), cfg)[1]  # raises NotSquare first
+    if h is not None:
+        w, v = np.linalg.eigh(h)
         if spectrum_is_psd(w, cfg):
             return HermitianEigen(eigenvalues=w, eigenvectors=v)
     raise NotPsd("matrix is not positive semidefinite within tolerance")
@@ -375,8 +455,7 @@ def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
 def _sqrt(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
     """:func:`psd_sqrt` read off the eigendecomposition of a PSD matrix."""
     lam, u = _kept(eig, cfg)
-    s = (u * np.sqrt(lam)) @ u.conj().T
-    return 0.5 * (s + s.conj().T)
+    return _herm((u * np.sqrt(lam)) @ u.conj().T)
 
 
 def _sqrt_pinv(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:

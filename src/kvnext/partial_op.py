@@ -19,13 +19,15 @@ single pass of :func:`gram_spectrum` validates the operator (the rank
 test on D, certified by one Cholesky of D† D and decided by SVD only when
 the certificate cannot, then the Hermitian and PSD tests on G), eigendecomposes
 G once, splits its spectrum at the data-scale cutoff, and derives the
-embedding J and the extendibility witness from that split.
+extendibility witness from that split.  The embedding J is formed on first
+read, for the constructions that use it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -150,9 +152,10 @@ class GramSpectrum:
     eig:      the eigendecomposition of G that validation computed
     lam, u:   kept eigenvalues of G (descending) and their eigenvectors
     kernel:   eigenvectors of the eigenvalues at or below the cutoff
-    j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r)
     witness:  normalized image Ad v of the kernel direction v that Ad
               moves most, when that exceeds cmp_tol; None otherwise
+    j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r), formed
+              on first read
     """
 
     op: PartialOperator
@@ -162,8 +165,11 @@ class GramSpectrum:
     lam: np.ndarray
     u: np.ndarray
     kernel: np.ndarray
-    j: np.ndarray
     witness: np.ndarray | None
+
+    @cached_property
+    def j(self) -> np.ndarray:
+        return self.op.action @ (self.u / np.sqrt(self.lam))
 
     @property
     def r(self) -> int:
@@ -220,8 +226,7 @@ def _spectrum(p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool) -> G
     keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action)
     lam, u, kernel = nc._split(eig, keep)
     witness = nc._kernel_witness(p.action, kernel, cfg)
-    j = p.action @ (u / np.sqrt(lam))
-    return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, j, witness)
+    return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, witness)
 
 
 def is_extendible(

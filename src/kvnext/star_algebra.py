@@ -393,7 +393,7 @@ class _Problem:
         f_n = self.extend(f)
         head = functional_gram(self.algebra, gv - f_n)
         if not nc.is_psd(head, self.cfg):
-            eig = nc.hermitian_eigen(0.5 * (head + head.conj().T), self.cfg)
+            eig = nc.hermitian_eigen(nc._herm(head), self.cfg)
             raise BoundNotDominating(
                 "bound functional does not dominate the minimal extension",
                 certificate=eig.eigenvectors[:, 0],

@@ -3,9 +3,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kvnext import PartialOperator, cli, verify_commutation
+from kvnext import PartialOperator, cli, commutation, krein_von_neumann, verify_commutation
 from kvnext import numcore as nc
-from kvnext.errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
+from kvnext.errors import DomainNotInvariant, HypothesesFail, ResultOutOfRange, ShapeMismatch
 from util_gen import commuting_instance, random_partial, rng_for
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -123,3 +123,49 @@ def test_hypotheses_read_one_qr_of_the_domain(lapack_calls, tmp_path):
     assert cli.main(argv) == 0
     assert (lapack_calls["lstsq"], lapack_calls["qr"]) == (0, 1)
     assert lapack_calls["eigh"] <= 1
+
+
+def assert_residuals_match_the_explicit_product(p, b, c):
+    """The factored residuals against ||C† a_n - a_n B||_F and ||B† a_n - a_n C||_F
+    on the formed a_n, and the same conclusion at cmp_tol."""
+    report = verify_commutation(p, b, c)
+    a_n = krein_von_neumann(p).a_n
+    explicit = (nc.fro(c.conj().T @ a_n - a_n @ b), nc.fro(b.conj().T @ a_n - a_n @ c))
+    scale = nc.fro(a_n) * max(nc.fro(b), nc.fro(c))
+    for got, want in zip((report.residual_cb, report.residual_bc), explicit):
+        assert abs(got - want) <= 1e-12 * (1.0 + scale), (got, want)
+    tol = nc.DEFAULT_TOL.cmp_tol * (1.0 + scale)
+    assert report.conclusion_holds == (max(explicit) <= tol)
+    return report.conclusion_holds
+
+
+def test_factored_residuals_match_the_explicit_ones_on_the_acceptance_families():
+    rng = rng_for(1007)  # the 200 families of acceptance criterion 7
+    for _ in range(200):
+        p, b, c = commuting_instance(rng, int(rng.integers(2, 9)))
+        assert assert_residuals_match_the_explicit_product(p, b, c)
+
+
+def test_factored_residuals_match_the_explicit_ones_where_the_conclusion_fails(monkeypatch):
+    # with the hypothesis step switched off, B and C need not intertwine
+    monkeypatch.setattr(commutation, "_hypothesis_status", lambda *args: None)
+    rng = rng_for(1008)
+    verdicts = []
+    for i in range(60):
+        n = int(rng.integers(2, 9))
+        p, b, c = commuting_instance(rng, n)
+        if i % 2:
+            p = random_partial(rng, n=n, force="extendible")
+        noise = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        eps = (1e-3, 1e-6, 1e-10)[i % 3]
+        verdicts.append(assert_residuals_match_the_explicit_product(p, b + eps * noise, c))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
+def test_a_minimal_extension_that_overflows_raises_result_out_of_range():
+    # G = 1e-151 against Ad = 1e150: a_n and j† j are about 1e451
+    p = PartialOperator([[1e-301], [0]], [[1e150], [0]])
+    with pytest.raises(ResultOutOfRange) as exc:
+        verify_commutation(p, np.eye(2), np.eye(2))
+    assert str(exc.value) == "minimal extension a_n = Ad G+ Ad† overflows the float range"

@@ -61,6 +61,16 @@ def test_bound_too_small_carries_certificate():
     assert float(np.real(np.vdot(cert, gap @ cert))) < 0
 
 
+def test_a_bound_too_small_factors_its_gap_once(lapack_calls):
+    with pytest.raises(BoundTooSmall, match=r"violation -1\.000e\+00 along"):
+        a_max(RUN2, np.eye(2))
+    # the rank certificate of D, then the two certificates of the gap: the
+    # refuting one decides, and one eigh of the gap gives the message and
+    # the direction (the other eigh is the Gram's)
+    counts = tuple(lapack_calls[k] for k in ("cholesky", "eigvalsh", "eigh"))
+    assert counts == (3, 0, 2)
+
+
 def test_marginal_bound_accepted_with_warning():
     # dominates only within psd_tol: accepted, but flagged
     bound = ONES - 1e-12 * np.eye(2)

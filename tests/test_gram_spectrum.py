@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvnext import (
+    KernelProblem,
     PartialOperator,
     a_max,
     cli,
+    extend_kernel,
     gram_spectrum,
     halmos_complete,
     in_interval,
@@ -19,10 +21,18 @@ from kvnext import (
     minimal_constant_estimate,
     qform_sup,
     schwarz_gap,
+    verify_commutation,
 )
 from kvnext import numcore as nc
 from kvnext.errors import InvalidOperator, NonPsdGram, NotExtendible, NotPsd
-from util_gen import orthonormal_columns, random_partial, random_psd, random_vector, rng_for
+from util_gen import (
+    commuting_instance,
+    orthonormal_columns,
+    random_partial,
+    random_psd,
+    random_vector,
+    rng_for,
+)
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
@@ -61,6 +71,56 @@ def test_each_construction_factors_the_gram_once(lapack_calls, monkeypatch):
     assert tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "cholesky")) == (2, 0, 2)
     # the shifted operator has the same D, whose rank verdict is reused
     assert len(rank_tests) == 1
+
+
+def test_a_candidate_outside_the_interval_is_refuted_without_eigvalsh(lapack_calls):
+    rng = rng_for(2024)
+    t = random_psd(rng, 8)
+    basis = orthonormal_columns(rng, 8, 4)
+    p = PartialOperator(basis, t @ basis)
+    u = orthonormal_columns(rng, 8, 1)
+    # T + u u†/4 changes the action on the domain: one of the two Loewner
+    # tests fails, and a failed shifted Cholesky proves it
+    assert not in_interval(p, t + np.eye(8), t + 0.25 * (u @ u.conj().T))
+    assert lapack_calls["eigvalsh"] == 0
+
+
+def test_only_the_constructions_that_read_j_form_it(monkeypatch):
+    from kvnext import commutation, extension_set, kernels
+
+    specs = []
+
+    def record(module, name):
+        fn = getattr(module, name)
+
+        def recorded(*args, **kwargs):
+            specs.append(fn(*args, **kwargs))
+            return specs[-1]
+
+        monkeypatch.setattr(module, name, recorded)
+
+    record(extension_set, "gram_spectrum")
+    record(extension_set, "_spectrum")
+    record(commutation, "gram_spectrum")
+    record(kernels, "gram_spectrum")
+    rng = rng_for(2025)
+    t = random_psd(rng, 8)
+    basis = orthonormal_columns(rng, 8, 4)
+    p = PartialOperator(basis, t @ basis)
+    bound = t + np.eye(8)
+    a_max(p, bound)
+    in_interval(p, bound, t)
+    p2, b, c = commuting_instance(rng, 6)
+    verify_commutation(p2, b, c)
+    extend_kernel(KernelProblem(m=2, n=2, sub=PartialOperator(basis[:4, :2], t[:4, :4] @ basis[:4, :2])))
+    assert len(specs) == 6
+    assert all("j" not in spec.__dict__ for spec in specs)
+    # the constructions that do read J form it once, with the same arithmetic
+    spec = gram_spectrum(p)
+    j = spec.j
+    assert spec.j is j
+    assert j.tobytes() == (p.action @ (spec.u / np.sqrt(spec.lam))).tobytes()
+    assert krein_von_neumann(p).factorization.j_matrix.tobytes() == j.tobytes()
 
 
 @pytest.mark.parametrize("fn", [nc.psd_sqrt])

@@ -133,3 +133,31 @@ def psd_matrices(draw):
 def test_psd_sqrt_squares_back(m):
     s = nc.psd_sqrt(m)
     assert np.max(np.abs(s @ s - m)) <= 1e-8 * (1.0 + nc.fro(m))
+
+
+def _layouts():
+    """Square inputs in C order, F order and as strided slices, with the
+    empty and 1 x 1 shapes and every sign of zero."""
+    rng = rng_for(88)
+    z = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
+    zeros = np.array([[complex(-0.0, -0.0), complex(0.0, -0.0)], [complex(-0.0, 0.0), complex(0.0, 0.0)]])
+    yield z
+    yield np.asfortranarray(z)
+    yield z[::2, 1::2]
+    yield z.T
+    yield np.zeros((0, 0), dtype=complex)
+    yield np.array([[-0.0 - 0.0j]])
+    yield np.array([[2.5 - 0.0j]])
+    yield zeros
+    yield zeros.T
+
+
+def test_hermitian_part_and_residual_equal_the_plain_expressions_bit_for_bit():
+    for x in _layouts():
+        plain = 0.5 * (x + x.conj().T)
+        kernel = nc._herm(x)
+        assert kernel.tobytes() == plain.tobytes()
+        assert kernel.flags.c_contiguous == plain.flags.c_contiguous
+        assert np.signbit(kernel.view(float)).tobytes() == np.signbit(plain.view(float)).tobytes()
+        residual = nc.hermitian_residual(x)
+        assert np.float64(residual).tobytes() == np.float64(nc.fro(x - x.conj().T)).tobytes()

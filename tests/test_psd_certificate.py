@@ -3,8 +3,8 @@
 ``is_psd`` (and through it ``loewner_leq`` and ``in_interval``) and the
 bound check of ``extension_set._interval`` accept without ``eigvalsh``
 when one Cholesky proves what the rule would decide.  The reference below
-is the rule itself: the same calls with the certificate switched off, so
-that ``eigvalsh`` decides every test.  On spectra planted next to each
+is the rule itself: the same calls with both certificates switched off,
+so that ``eigvalsh`` decides every test.  On spectra planted next to each
 threshold, on exactly singular differences T - a_n, on edge shapes and
 with data scaled by 2^+-500, under both tolerance profiles, both give the
 same verdicts, exceptions, messages and warnings.
@@ -46,6 +46,7 @@ def outcome(fn, *args):
 def by_eigvalsh_rule(fn, *args):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(nc, "_cholesky_certifies_psd", lambda h, psd_tol: False)
+        mp.setattr(nc, "_cholesky_refutes_psd", lambda h, psd_tol: False)
         return outcome(fn, *args)
 
 
@@ -171,7 +172,7 @@ def test_certificate_decides_the_common_case(lapack_calls):
     assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (0, 1)
     lapack_calls.clear()
     assert not nc.is_psd(h - 1e-3 * np.eye(40))
-    assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (1, 1)
+    assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (0, 2)
 
 
 def test_certificate_restores_the_diagonal_and_keeps_its_guards():
@@ -189,3 +190,53 @@ def test_certificate_restores_the_diagonal_and_keeps_its_guards():
     # with psd_tol = 0 only a clearly positive definite matrix passes
     assert nc._cholesky_certifies_psd(np.eye(3, dtype=complex), 0.0)
     assert not nc._cholesky_certifies_psd(random_psd(rng, 6, 3), 0.0)
+
+
+def test_refuting_certificate_restores_the_diagonal_and_keeps_its_guards():
+    rng = rng_for(6)
+    for m in (random_psd(rng, 6, 3), -random_psd(rng, 6, 3)):
+        h = m.copy()
+        nc._cholesky_refutes_psd(h, 1e-9)
+        assert h.tobytes() == m.tobytes()
+    assert nc._cholesky_refutes_psd(-np.eye(3, dtype=complex), 1e-9)
+    assert not nc._cholesky_refutes_psd(random_psd(rng, 6, 3), 1e-9)
+    # empty, too large, a norm that overflows or underflows: skipped
+    assert not nc._cholesky_refutes_psd(np.zeros((0, 0), dtype=complex), 1e-9)
+    assert not nc._cholesky_refutes_psd(-np.eye(1025, dtype=complex), 1e-9)
+    assert not nc._cholesky_refutes_psd(-np.eye(3, dtype=complex) * 2.0**600, 1e-9)
+    assert not nc._cholesky_refutes_psd(-np.eye(3, dtype=complex) * 2.0**-600, 1e-9)
+
+
+def refuting_shift(h, psd_tol):
+    """The shift c of ``_cholesky_refutes_psd``: the rule's floor at max|w|
+    <= ||h||_F + e, the eigensolver allowance e and Demmel's term."""
+    n, u = h.shape[0], np.finfo(float).eps / 2
+    f = nc.fro(h)
+    e = 32 * (n + 1) * u * f
+    return 1.25 * (psd_tol * (1 + f + e) + e + 4.2 * (n + 1) ** 2 * u * f)
+
+
+@pytest.mark.parametrize("cfg", TOLS, ids=["default", "strict"])
+@pytest.mark.parametrize("k", SCALES)
+def test_spectra_around_the_refuting_shift_match_the_eigvalsh_rule(cfg, k):
+    refuted = 0
+    for n in (2, 5, 16, 64):
+        top = 2.0**k
+        c = refuting_shift(planted(n, n, top, 0.0), cfg.psd_tol)
+        for i, ratio in enumerate((0.25, 0.5, 0.8, 1.0, 1.25, 2.0, 4.0)):
+            h = planted(300 * n + i, n, top, -ratio * c)
+            assert_rule(nc.is_psd, h, cfg)
+            refuted += nc._cholesky_refutes_psd(h, cfg.psd_tol)
+    assert refuted >= 2  # past 2^500, ||h||_F skips the larger sizes
+
+
+def test_refuting_certificate_claims_no_more_than_demmels_bound():
+    # At n = 256 under STRICT_TOL, Demmel's term of the shift is larger than
+    # its tolerance term.  The rule rejects an eigenvalue at a third of the
+    # shift, but a Cholesky that failed there would prove nothing, so the
+    # certificate leaves the verdict to eigvalsh.
+    cfg = nc.STRICT_TOL
+    c = refuting_shift(planted(9, 256, 1.0, 0.0), cfg.psd_tol)
+    h = planted(9, 256, 1.0, -c / 3)
+    assert not nc._cholesky_refutes_psd(h, cfg.psd_tol)
+    assert not nc.is_psd(h, cfg)

@@ -1,10 +1,12 @@
+import ast
 import inspect
 import pathlib
 import re
 
 import kvnext
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def _readme_entry_points() -> set[str]:
@@ -29,3 +31,21 @@ def test_readme_lists_exactly_the_public_names():
     listed = _readme_entry_points()
     assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
     assert len(exported) == 54
+
+
+def test_the_hermitian_part_has_one_home():
+    """``0.5 * (x + x.conj().T)`` is written once, in ``numcore._herm``; every
+    other site calls that kernel."""
+    pattern = re.compile(r"0\.5 \* \(.*\.conj\(\)\.T\)")
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        homes = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(ast.parse(text))
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("numcore.py", "_herm")
+        ]
+        for number, line in enumerate(text.splitlines(), start=1):
+            if pattern.search(line) and not any(number in home for home in homes):
+                found.append(f"{path.name}:{number}: {line.strip()}")
+    assert found == []
