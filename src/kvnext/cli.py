@@ -8,6 +8,7 @@ nested arrays of such pairs; extended reals are numbers or the string
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -448,7 +449,9 @@ def _report(status: str, command: str, result: dict, diagnostics: list[str]) -> 
     }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``kvn`` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="kvn",
         description="Positive extension toolkit: check, construct, and complete.",

@@ -86,6 +86,8 @@ def verify_commutation(
     j = y / np.sqrt(spec.lam)
     a_n_fro = nc.fro(nc._finite(j.conj().T @ j, _A_N))
     tol = cfg.cmp_tol * (1.0 + a_n_fro * max(nc.fro(bm), nc.fro(cm)))
+    # an overflowed residual or tolerance would compare as a verdict
+    nc._finite(np.array([residual_cb, residual_bc, tol]), "the intertwining residual of a_n")
     return CommutationReport(
         hypotheses_hold=True,
         residual_cb=residual_cb,

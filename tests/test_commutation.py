@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -169,3 +170,35 @@ def test_a_minimal_extension_that_overflows_raises_result_out_of_range():
     with pytest.raises(ResultOutOfRange) as exc:
         verify_commutation(p, np.eye(2), np.eye(2))
     assert str(exc.value) == "minimal extension a_n = Ad G+ Ad† overflows the float range"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the residual norms overflow
+def test_residuals_that_overflow_fail_closed(tmp_path):
+    # a_n = 1e300 e1 e1†: I intertwines exactly, but ||.||_F of the factored
+    # residual and its tolerance overflow, and inf <= inf would read as "holds"
+    p = PartialOperator(1e-150 * E1, 1e150 * E1)
+    message = "the intertwining residual of a_n overflows the float range"
+    with pytest.raises(ResultOutOfRange) as exc:
+        verify_commutation(p, np.eye(2), np.eye(2))
+    assert str(exc.value) == message
+
+    identity = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    problem = {
+        "schema_version": "1",
+        "kind": "commutation_problem",
+        "payload": {
+            "partial_operator": {
+                "dim": 2,
+                "domain_basis": [[[1e-150, 0.0]], [[0.0, 0.0]]],
+                "action": [[[1e150, 0.0]], [[0.0, 0.0]]],
+            },
+            "b": identity,
+            "c": identity,
+        },
+    }
+    src, out = tmp_path / "problem.json", tmp_path / "r.json"
+    src.write_text(json.dumps(problem))
+    assert cli.main(["commutation", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == [message]

@@ -1,11 +1,39 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kvnext import minimal_constant_estimate, schwarz_gap
+from kvnext import numcore as nc
 from kvnext.errors import NotPsd, ShapeMismatch
+from kvnext.schwarz import _Family
 from util_gen import random_psd, random_vector, rng_for
 
 CMP = 1e-8
+
+
+def coupling_estimate(ops, iterations, seed, cfg=nc.DEFAULT_TOL):
+    """The estimate as ``iterations`` matvecs on the (kn) x (kn) coupling
+    V V†, from the same seeded start: the reference that the n x n
+    repeated squaring on V† V is compared with."""
+    family = _Family.validated(ops, cfg)
+    v = np.vstack([nc._sqrt(eig, family.cfg) for eig in family.eigens])
+    coupling = v @ v.conj().T
+    rng = np.random.default_rng(seed)
+    h = rng.standard_normal(coupling.shape[0]) + 1j * rng.standard_normal(
+        coupling.shape[0]
+    )
+    for _ in range(max(int(iterations), 1)):
+        h = coupling @ h
+        norm = np.linalg.norm(h)
+        if norm <= 0.0:
+            return 0.0
+        h = h / norm
+    return float(np.linalg.norm(v.conj().T @ h) ** 2)
+
+
+def norm_of_sum(ops):
+    return float(max(np.max(np.linalg.eigvalsh(sum(ops))), 0.0))
 
 
 def test_zero_family():
@@ -86,3 +114,51 @@ def test_homogeneity():
     assert scaled.rhs == pytest.approx(lam**2 * base.rhs, rel=1e-12)
     if base.rhs > 0:
         assert scaled.lhs / scaled.rhs == pytest.approx(base.lhs / base.rhs, rel=1e-9)
+
+
+@pytest.mark.parametrize("iterations", [0, 1, 2, 3, 200, 1000])
+def test_estimate_matches_the_coupling_iteration(iterations):
+    rng = rng_for(43)
+    for trial in range(24):
+        n = 48 if trial == 0 else int(rng.integers(1, 49))
+        k = 10 if trial == 0 else int(rng.integers(1, 11))
+        ranks = [int(rng.integers(0, n + 1)) for _ in range(k)]
+        if trial == 1:
+            ranks = [0] * k  # the all-zero family
+        ops = [random_psd(rng, n, rank=r) for r in ranks]
+        got = minimal_constant_estimate(ops, iterations, seed=trial)
+        want = coupling_estimate(ops, iterations, seed=trial)
+        if not any(ranks):
+            assert got == want == 0.0
+        assert abs(got - want) <= 1e-12 * (1.0 + norm_of_sum(ops)), (trial, got, want)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # validation's ||A_j||_F overflows
+@pytest.mark.parametrize("p", [-1000, -800, -500, 500, 800, 1000])
+def test_estimate_scales_by_exact_powers_of_two(p):
+    # 2^p A_j is exact, and the estimate is homogeneous of degree one; the
+    # coupling iteration underflows or overflows its norms from |p| = 800 on
+    rng = rng_for(47)
+    for trial in range(8):
+        n = int(rng.integers(1, 9))
+        ops = [random_psd(rng, n) for _ in range(int(rng.integers(1, 5)))]
+        base = minimal_constant_estimate(ops, 200, seed=trial)
+        scaled = minimal_constant_estimate([a * 2.0**p for a in ops], 200, seed=trial)
+        assert scaled == pytest.approx(base * 2.0**p, rel=1e-12, abs=0.0)
+
+
+def test_estimate_memory_stays_n_by_n():
+    # k = 64, n = 32 at the CLI's iteration cap: the (kn) x (kn) coupling
+    # alone would take 64 MiB
+    rng = rng_for(53)
+    ops = [random_psd(rng, 32) for _ in range(64)]
+    tracemalloc.start()
+    try:
+        est = minimal_constant_estimate(ops, 100_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
+    target = norm_of_sum(ops)
+    assert est <= target + CMP * (1.0 + target)
+    assert est == pytest.approx(target, rel=1e-12)
