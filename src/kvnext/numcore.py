@@ -122,7 +122,29 @@ def hermitian_residual(m: np.ndarray) -> float:
 def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     _require_square(a, "matrix")
-    return hermitian_residual(a) <= cfg.cmp_tol * (1.0 + fro(a))
+    return _hermitian_within(a, hermitian_residual(a), cfg)
+
+
+def _hermitian_within(a: np.ndarray, residual: float, cfg: ToleranceConfig) -> bool:
+    """The Hermitian rule ||a - a†||_F <= cmp_tol (1 + ||a||_F), ``residual``
+    being the left side.  Where the threshold overflows, the same rule is
+    decided on a 2^-e, e the exponent of the largest entry of a: the scaling
+    is exact and no norm of the scaled matrix overflows."""
+    limit = cfg.cmp_tol * (1.0 + fro(a))
+    if math.isfinite(limit):
+        return residual <= limit
+    s, e = _pow2_scaled(a.copy())
+    return hermitian_residual(s) <= cfg.cmp_tol * (math.ldexp(1.0, -e) + fro(s))
+
+
+def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """(m times 2^-e, in place; e), e the exponent that brings the largest
+    entry of m into [1/2, 1): exact, and the square of the result cannot
+    overflow."""
+    _, exp = np.frexp(np.max(np.abs(m)))
+    for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
+        np.ldexp(part, -exp, out=part)
+    return m, int(exp)
 
 
 def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -152,7 +174,7 @@ def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarra
     _require_square(a, "matrix")
     adj = _adjoint(a)
     residual = fro(a - adj)
-    if not residual <= cfg.cmp_tol * (1.0 + fro(a)):
+    if not _hermitian_within(a, residual, cfg):
         return residual, None
     return residual, _herm(a, adj)
 

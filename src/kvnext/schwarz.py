@@ -80,7 +80,7 @@ class _Family:
         steps = max(int(iterations), 1) - 1
         power = None  # M^(2^i) up to scale in pass i, which reads bit i of T - 1
         while g is not None and steps:
-            power = _pow2_scaled(vh @ v if power is None else power @ power)
+            power, _ = nc._pow2_scaled(vh @ v if power is None else power @ power)
             if steps & 1:
                 g = _unit(power @ g)
             steps >>= 1
@@ -94,15 +94,6 @@ def _unit(x: np.ndarray) -> np.ndarray | None:
     """x / ||x||, or None for x = 0."""
     norm = np.linalg.norm(x)
     return None if norm <= 0.0 else x / norm
-
-
-def _pow2_scaled(m: np.ndarray) -> np.ndarray:
-    """m, in place, times the power of two that brings its largest entry
-    into [1/2, 1): exact, and the square of the result cannot overflow."""
-    _, exp = np.frexp(np.max(np.abs(m)))
-    for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
-        np.ldexp(part, -exp, out=part)
-    return m
 
 
 def _checked_family(ops, vecs, cfg: ToleranceConfig) -> tuple[_Family, list[np.ndarray]]:

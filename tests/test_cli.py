@@ -1,4 +1,5 @@
 import json
+import os
 import pathlib
 import tracemalloc
 
@@ -392,3 +393,57 @@ def test_result_out_of_float_range_is_invalid_input(tmp_path):
     assert report["status"] == "invalid_input"
     assert report["result"] == {}
     assert report["diagnostics"][0] == "minimal extension a_n = Ad G+ Ad† overflows the float range"
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_golden_report_over_a_longer_file_is_exact(name, tmp_path):
+    # the report is written over the old bytes and the rest cut off
+    golden = (GOLDEN / f"{name}.report.json").read_bytes()
+    out = tmp_path / "report.json"
+    out.write_bytes(b"\xff" * (len(golden) + 4096))
+    assert run(name, out) == CORPUS[name][1]
+    assert out.read_bytes() == golden
+
+
+def test_report_keeps_the_inode_and_a_new_one_gets_the_open_w_mode(tmp_path):
+    out = tmp_path / "report.json"
+    out.write_bytes(b"old")
+    out.chmod(0o640)
+    inode = out.stat().st_ino
+    assert run("extend_running2", out) == 0
+    assert (out.stat().st_ino, out.stat().st_mode & 0o7777) == (inode, 0o640)
+    # a new file: open(path, "w") creates it 0o666 less the umask
+    reference = tmp_path / "reference.json"
+    with open(reference, "w"):
+        pass
+    fresh = tmp_path / "fresh.json"
+    assert run("extend_running2", fresh) == 0
+    assert fresh.stat().st_mode == reference.stat().st_mode
+    assert fresh.read_bytes() == (GOLDEN / "extend_running2.report.json").read_bytes()
+
+
+def test_report_through_a_symlink_writes_the_target(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_bytes(b"x" * 10_000)
+    link = tmp_path / "link.json"
+    link.symlink_to(target)
+    assert run("check_running2", link) == 0
+    assert link.is_symlink() and os.readlink(link) == str(target)
+    assert target.read_bytes() == (GOLDEN / "check_running2.report.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["check_running2", "check_invalid_gram", "check_halmos"])
+def test_report_to_dev_null_exits_with_the_commands_code(name, capsys):
+    assert run(name, pathlib.Path(os.devnull)) == CORPUS[name][1]
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("where", ["missing/r.json", "."], ids=["missing-dir", "a-directory"])
+def test_unwritable_report_file_is_invalid_input(where, tmp_path, capsys):
+    out = tmp_path / where
+    assert run("check_running2", out) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"][0].startswith("cannot write report file: [Errno ")
+    assert report["diagnostics"][0].endswith(f"{str(out)!r}")
+    assert not (tmp_path / "missing").exists()

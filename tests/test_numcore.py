@@ -161,3 +161,29 @@ def test_hermitian_part_and_residual_equal_the_plain_expressions_bit_for_bit():
         assert np.signbit(kernel.view(float)).tobytes() == np.signbit(plain.view(float)).tobytes()
         residual = nc.hermitian_residual(x)
         assert np.float64(residual).tobytes() == np.float64(nc.fro(x - x.conj().T)).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||a||_F overflows at 2^1000
+@pytest.mark.parametrize("p", [0, 600, 1000])
+def test_hermitian_rule_holds_where_the_norm_overflows(p):
+    # cmp_tol * (1 + ||a||_F) is inf from 2^600 on; the rule is then
+    # decided on a 2^-e, and must not accept a clearly non-Hermitian matrix
+    skew = np.array([[1.0, 0.9], [0.0, 1.0]], dtype=complex) * 2.0**p
+    herm = np.array([[1.0, 0.9j], [-0.9j, 1.0]]) * 2.0**p
+    assert not nc.is_hermitian(skew, CFG)
+    assert not nc.is_psd(skew, CFG)
+    with pytest.raises(NotHermitian):
+        nc.hermitian_eigen(skew, CFG)
+    with pytest.raises(NotPsd):
+        nc._psd_eigen(skew, CFG)
+    assert nc.is_hermitian(herm, CFG)
+    assert nc.is_psd(herm, CFG)
+    assert nc.hermitian_eigen(herm, CFG).eigenvalues == pytest.approx(
+        np.array([0.1, 1.9]) * 2.0**p, rel=1e-12
+    )
+    # a residual well within cmp_tol of the scale passes, one 5x above it fails
+    tol = nc.ToleranceConfig(cmp_tol=1e-6)
+    for leak, ok in [(1e-7, True), (1e-5, False)]:
+        near = herm.copy()
+        near[0, 1] += leak * 2.0**p
+        assert nc.is_hermitian(near, tol) is ok

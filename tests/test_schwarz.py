@@ -162,3 +162,13 @@ def test_estimate_memory_stays_n_by_n():
     target = norm_of_sum(ops)
     assert est <= target + CMP * (1.0 + target)
     assert est == pytest.approx(target, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # validation's ||A_j||_F overflows
+@pytest.mark.parametrize("p", [0, 1000])
+def test_non_hermitian_family_is_rejected_at_every_scale(p):
+    # the Hermitian test's threshold cmp_tol (1 + ||A||_F) overflows at
+    # 2^1000; the family must still be refused, as at scale 1
+    a = np.array([[1.0, 0.9], [0.0, 1.0]], dtype=complex) * 2.0**p
+    with pytest.raises(NotPsd):
+        minimal_constant_estimate([a], 50, 0)
