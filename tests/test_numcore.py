@@ -181,7 +181,7 @@ def test_hermitian_rule_holds_where_the_norm_overflows(p):
     assert nc.hermitian_eigen(herm, CFG).eigenvalues == pytest.approx(
         np.array([0.1, 1.9]) * 2.0**p, rel=1e-12
     )
-    # a residual well within cmp_tol of the scale passes, one 5x above it fails
+    # a residual well within cmp_tol of the scale passes, one several times above it fails
     tol = nc.ToleranceConfig(cmp_tol=1e-6)
     for leak, ok in [(1e-7, True), (1e-5, False)]:
         near = herm.copy()
