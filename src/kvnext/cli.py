@@ -308,7 +308,7 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
             "not Hilbert bounded" if not hb.bounded else "not admissible"
         )
         return "not_extendible", result
-    result["rank"] = problem.spectrum(values).r
+    result["rank"] = problem.record(values).spec.r
     result["f_n"] = _grid(np.ravel(problem.extend(values)))
     if algebra.unit is not None:
         result["f_n_unital"] = _grid(np.ravel(problem.extend_unital(values)))

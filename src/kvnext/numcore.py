@@ -122,7 +122,8 @@ def hermitian_residual(m: np.ndarray) -> float:
 def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     _require_square(a, "matrix")
-    return _hermitian_within(a, hermitian_residual(a), cfg)
+    with np.errstate(over="ignore"):  # both norms are tested by the rule
+        return _hermitian_within(a, hermitian_residual(a), cfg)
 
 
 def _hermitian_within(a: np.ndarray, residual: float, cfg: ToleranceConfig) -> bool:
@@ -173,9 +174,10 @@ def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarra
     :func:`is_hermitian` rejects ``a``; a† is formed once for both."""
     _require_square(a, "matrix")
     adj = _adjoint(a)
-    residual = fro(a - adj)
-    if not _hermitian_within(a, residual, cfg):
-        return residual, None
+    with np.errstate(over="ignore"):  # both norms are tested by the rule
+        residual = fro(a - adj)
+        if not _hermitian_within(a, residual, cfg):
+            return residual, None
     return residual, _herm(a, adj)
 
 

@@ -21,16 +21,20 @@ interval [f_N, f_max] with f_max = g - minimal_extension(g - f), in
 exact parallel with the operator picture.
 
 Everything runs on the regular representation.  One validation of the
-algebra and ideal solves once for the ideal coordinates of every product
-b_i a_l; the resulting stack L[i] of ideal-coordinate matrices of
-a -> b_i a yields the induced action, the admissibility constants and
-pi, and each functional's Gram form is factored once.
+algebra and ideal rank-tests the ideal basis, the only rank test, and
+solves once for the ideal coordinates of every product b_i a_l; the
+resulting stack L[i] of ideal-coordinate matrices of a -> b_i a yields
+the induced action, the admissibility constants and pi.  Each functional
+is decided once per problem: its Gram form is factored once, and its
+Hilbert bound, admissibility, GNS data and f_N are computed on first read.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -53,7 +57,7 @@ from .errors import (
 )
 from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
+from .partial_op import GramSpectrum, PartialOperator, _spectrum
 
 _ALGEBRA_FAILURES = {
     "associativity": AssociativityFail,
@@ -250,20 +254,92 @@ def functional_gram(algebra: StarAlgebra, g) -> np.ndarray:
 
 
 @dataclass(frozen=True)
+class _Functional:
+    """One functional of one problem: its values ``w``, its induced operator
+    ``spec`` (validated and factored) and the problem's stack ``left``.
+    Each statement is computed on first read; a check that fails raises on
+    every read and caches nothing."""
+
+    w: np.ndarray
+    spec: GramSpectrum
+    left: np.ndarray
+
+    @cached_property
+    def hilbert(self) -> HilbertBoundReport:
+        constant = self.spec.form(np.conj(self.w))
+        return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        """lambda_i from the forms L_i† G L_i, one batched eigensolve.
+
+        The top eigenvalues of those forms are needed, in a second
+        eigensolve, only to test the kernel of G when it has one.
+        """
+        spec, left = self.spec, self.left
+        gx = left.conj().transpose(0, 2, 1) @ spec.gram @ left
+        gx = 0.5 * (gx + gx.conj().transpose(0, 2, 1))
+        ok = np.ones(left.shape[0], dtype=bool)
+        kernel = spec.kernel
+        if kernel.shape[1]:
+            top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
+            leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
+            ok = np.all(
+                np.sqrt(np.maximum(leak, 0.0))
+                <= spec.cfg.cmp_tol * (1.0 + np.sqrt(top))[:, None],
+                axis=1,
+            )
+        lambdas = np.zeros(left.shape[0])
+        if spec.r:
+            root_inv = spec.u / np.sqrt(spec.lam)
+            w = root_inv.conj().T @ gx @ root_inv
+            ev = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 2, 1)))
+            lambdas = np.maximum(ev[:, -1], 0.0)
+        lambdas[~ok] = math.inf
+        return AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)
+
+    def require_admissible(self) -> None:
+        adm = self.admissibility
+        if not adm.admissible:
+            raise NotAdmissible(
+                "left multiplication does not descend to the auxiliary space",
+                certificate=adm.lambdas.copy(),
+            )
+
+    @cached_property
+    def gns(self) -> GnsData:
+        if not self.hilbert.bounded:
+            raise NotHilbertBounded(
+                "functional is not dominated by its quadratic form on the ideal"
+            )
+        self.require_admissible()
+        spec = self.spec
+        coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
+        rep = spec.u / np.sqrt(spec.lam)
+        zeta = rep.conj().T @ np.conj(self.w)
+        return GnsData(spec.r, spec.gram, tuple(coord @ self.left @ rep), zeta, spec.j.conj().T)
+
+    @cached_property
+    def f_n(self) -> np.ndarray:
+        zeta = self.gns.zeta
+        return np.array([np.vdot(zeta, p @ zeta) for p in self.gns.pi], dtype=np.complex128)
+
+
+@dataclass(frozen=True)
 class _Problem:
     """An algebra and a left ideal, validated once.
 
     ``left`` is the validation's stack L (``left[i]`` the ideal-coordinate
-    matrix of a -> b_i a) and ``spectra`` memoizes the factored induced
-    operator of each functional, so every step of one problem reads the
-    same solve and the same factorizations.
+    matrix of a -> b_i a) and ``records`` holds one :class:`_Functional`
+    per functional, keyed by its values' bytes.  The statements hand out
+    copies of what the records hold.
     """
 
     algebra: StarAlgebra
     ideal: LeftIdeal
     cfg: ToleranceConfig
     left: np.ndarray
-    spectra: dict = field(default_factory=dict, repr=False, compare=False)
+    records: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def validated(
@@ -273,96 +349,40 @@ class _Problem:
         report.raise_if_invalid()
         return cls(algebra, ideal, cfg, report.left_mult)
 
-    def values(self, f) -> np.ndarray:
+    def record(self, f) -> _Functional:
+        """The functional's record; its ``spec`` is to be read, not written.
+        Validation decided the rank of the ideal basis (the whole-algebra
+        basis is the identity), so the induced operator's is not tested."""
         w = nc.as_vector(f, "functional values")
         if w.size != self.ideal.p:
-            raise ShapeMismatch(
-                f"functional must have length {self.ideal.p}, got {w.size}"
-            )
-        return w
-
-    def spectrum(self, f) -> GramSpectrum:
-        """The induced operator, action (f(b_k* a_j))_kj, validated and factored."""
-        w = self.values(f)
+            raise ShapeMismatch(f"functional must have length {self.ideal.p}, got {w.size}")
         key = w.tobytes()
-        if key not in self.spectra:
-            action = self.algebra.invol @ (w @ self.left)
-            self.spectra[key] = gram_spectrum(
-                PartialOperator(self.ideal.basis, action), self.cfg
-            )
-        return self.spectra[key]
+        if key not in self.records:
+            op = PartialOperator(self.ideal.basis, self.algebra.invol @ (w @ self.left))
+            spec = _spectrum(op, self.cfg, rank_decided=True)
+            self.records[key] = _Functional(w.copy(), spec, self.left)
+        return self.records[key]
 
     def hilbert(self, f) -> HilbertBoundReport:
-        constant = self.spectrum(f).form(np.conj(self.values(f)))
-        return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
+        return self.record(f).hilbert
 
     def admissibility(self, f) -> AdmissibilityReport:
-        """lambda_i from the forms L_i† G L_i, one batched eigensolve.
-
-        The top eigenvalues of those forms are needed, in a second
-        eigensolve, only to test the kernel of G when it has one.
-        """
-        m = self.algebra.m
-        spec, left = self.spectrum(f), self.left
-        gx = left.conj().transpose(0, 2, 1) @ spec.gram @ left
-        gx = 0.5 * (gx + gx.conj().transpose(0, 2, 1))
-        ok = np.ones(m, dtype=bool)
-        kernel = spec.kernel
-        if kernel.shape[1]:
-            top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
-            leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
-            ok = np.all(
-                np.sqrt(np.maximum(leak, 0.0))
-                <= self.cfg.cmp_tol * (1.0 + np.sqrt(top))[:, None],
-                axis=1,
-            )
-        lambdas = np.zeros(m)
-        if spec.r:
-            root_inv = spec.u / np.sqrt(spec.lam)
-            w = root_inv.conj().T @ gx @ root_inv
-            ev = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 2, 1)))
-            lambdas = np.maximum(ev[:, -1], 0.0)
-        lambdas[~ok] = math.inf
-        return AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)
-
-    def _require_admissible(self, f) -> None:
-        adm = self.admissibility(f)
-        if not adm.admissible:
-            raise NotAdmissible(
-                "left multiplication does not descend to the auxiliary space",
-                certificate=adm.lambdas,
-            )
+        adm = self.record(f).admissibility
+        return AdmissibilityReport(adm.admissible, adm.lambdas.copy())
 
     def gns(self, f) -> GnsData:
-        spec = self.spectrum(f)
-        if not self.hilbert(f).bounded:
-            raise NotHilbertBounded(
-                "functional is not dominated by its quadratic form on the ideal"
-            )
-        self._require_admissible(f)
-        coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
-        rep = spec.u / np.sqrt(spec.lam)
-        zeta = rep.conj().T @ np.conj(self.values(f))
-        return GnsData(
-            r=spec.r,
-            gram=spec.gram,
-            pi=tuple(coord @ self.left @ rep),
-            zeta=zeta,
-            j_star_full=spec.j.conj().T,
-        )
+        return copy.deepcopy(self.record(f).gns)
 
     def extend(self, f) -> np.ndarray:
-        data = self.gns(f)
-        return np.array(
-            [np.vdot(data.zeta, p @ data.zeta) for p in data.pi], dtype=np.complex128
-        )
+        return self.record(f).f_n.copy()
 
     def extend_unital(self, f) -> np.ndarray:
         if self.algebra.unit is None:
             raise NoUnit("algebra has no unit")
-        self._require_admissible(f)
+        rec = self.record(f)
+        rec.require_admissible()
         try:
-            a_n = _minimal_extension(self.spectrum(f))
+            a_n = _minimal_extension(rec.spec)
         except NotExtendible as exc:
             raise NotHilbertBounded(
                 "functional is not Hilbert bounded despite admissibility"
@@ -370,16 +390,14 @@ class _Problem:
         return np.conj(a_n @ self.algebra.unit)
 
     def representable(self, g) -> bool:
-        """On the whole-algebra problem: the GNS build succeeds for g.
-
-        The build factors the form (g(b_i* b_j))_ij itself, so a g that is
-        not positive fails it as NonPsdGram or NonHermitianGram.
-        """
+        """On the whole-algebra problem: g passes the checks of the GNS build,
+        without the build.  They factor the form (g(b_i* b_j))_ij itself, so
+        a g that is not positive fails them as NonPsdGram or NonHermitianGram."""
         try:
-            self.gns(g)
-        except (NotHilbertBounded, NotAdmissible, NonPsdGram, NonHermitianGram):
+            rec = self.record(g)
+        except (NonPsdGram, NonHermitianGram):
             return False
-        return True
+        return rec.hilbert.bounded and rec.admissibility.admissible
 
     def f_max(self, f, g) -> np.ndarray:
         gv = nc.as_vector(g, "bound functional")
@@ -390,17 +408,16 @@ class _Problem:
         whole = _Problem(self.algebra, ideal, self.cfg, left)
         if not whole.representable(gv):
             raise NotRepresentable("bound functional is not representable")
-        f_n = self.extend(f)
-        head = functional_gram(self.algebra, gv - f_n)
+        rec = self.record(f)
+        head = functional_gram(self.algebra, gv - rec.f_n)
         if not nc.is_psd(head, self.cfg):
             eig = nc.hermitian_eigen(nc._herm(head), self.cfg)
             raise BoundNotDominating(
                 "bound functional does not dominate the minimal extension",
                 certificate=eig.eigenvectors[:, 0],
             )
-        shifted = self.ideal.basis.T @ gv - self.values(f)
-        result = gv - self.extend(shifted)
-        for name, candidate in (("g - f_N", gv - f_n), ("f_max", result)):
+        result = gv - self.record(self.ideal.basis.T @ gv - rec.w).f_n
+        for name, candidate in (("g - f_N", gv - rec.f_n), ("f_max", result)):
             if not whole.representable(candidate):
                 raise NotRepresentable(
                     f"{name} failed the constructive representability check"
@@ -416,7 +433,7 @@ def induced_operator(
     Its Gram matrix collects the form values f(a_i* a_j); Hermitianness
     and positivity of that Gram are exactly positivity of f on the ideal.
     """
-    return _Problem.validated(algebra, ideal, cfg).spectrum(f).op
+    return _Problem.validated(algebra, ideal, cfg).record(f).spec.op
 
 
 def is_hilbert_bounded(
@@ -465,7 +482,7 @@ def fn_on_positive(
     xv = nc.as_vector(x, "x")
     if xv.size != algebra.m:
         raise ShapeMismatch(f"x must have length {algebra.m}, got {xv.size}")
-    data = gns(algebra, ideal, f, cfg)
+    data = _Problem.validated(algebra, ideal, cfg).record(f).gns  # read, not handed out
     return float(np.linalg.norm(data.j_star_full @ xv) ** 2)
 
 
@@ -492,9 +509,8 @@ def functional_leq(
 def is_representable(
     algebra: StarAlgebra, g, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """Decide representability constructively: run the GNS build on (A, A, g)."""
-    whole = whole_algebra_ideal(algebra)
-    return _Problem.validated(algebra, whole, cfg).representable(g)
+    """Decide representability constructively: the checks of the GNS build on (A, A, g)."""
+    return _Problem.validated(algebra, whole_algebra_ideal(algebra), cfg).representable(g)
 
 
 def f_max(

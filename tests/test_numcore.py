@@ -163,7 +163,7 @@ def test_hermitian_part_and_residual_equal_the_plain_expressions_bit_for_bit():
         assert np.float64(residual).tobytes() == np.float64(nc.fro(x - x.conj().T)).tobytes()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||a||_F overflows at 2^1000
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
 @pytest.mark.parametrize("p", [0, 600, 1000])
 def test_hermitian_rule_holds_where_the_norm_overflows(p):
     # cmp_tol * (1 + ||a||_F) is inf from 2^600 on; the rule is then

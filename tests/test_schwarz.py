@@ -133,7 +133,7 @@ def test_estimate_matches_the_coupling_iteration(iterations):
         assert abs(got - want) <= 1e-12 * (1.0 + norm_of_sum(ops)), (trial, got, want)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # validation's ||A_j||_F overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # validation decides, not warns
 @pytest.mark.parametrize("p", [-1000, -800, -500, 500, 800, 1000])
 def test_estimate_scales_by_exact_powers_of_two(p):
     # 2^p A_j is exact, and the estimate is homogeneous of degree one; the
@@ -164,7 +164,7 @@ def test_estimate_memory_stays_n_by_n():
     assert est == pytest.approx(target, rel=1e-12)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # validation's ||A_j||_F overflows
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # validation decides, not warns
 @pytest.mark.parametrize("p", [0, 1000])
 def test_non_hermitian_family_is_rejected_at_every_scale(p):
     # the Hermitian test's threshold cmp_tol (1 + ||A||_F) overflows at

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import pathlib
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from kvnext import cli, star_algebra
+from kvnext import numcore as nc
 from kvnext import (
     LeftIdeal,
     StarAlgebra,
@@ -24,6 +26,7 @@ from kvnext.errors import (
     AssociativityFail,
     BoundNotDominating,
     InvolutionFail,
+    KvnError,
     NonPsdGram,
     NoUnit,
     NotHilbertBounded,
@@ -277,6 +280,127 @@ def test_functional_run_validates_once_and_solves_once(lapack_calls, monkeypatch
     # one Gram factorization per distinct functional: f, the shifted
     # functional g|I - f, g and g - f_N (f_max equals g here)
     assert lapack_calls["eigh"] <= 4
+
+
+def test_functional_run_decides_each_functional_once(lapack_calls, monkeypatch, tmp_path):
+    ranks = []
+    rank = nc.full_column_rank
+
+    def counted(*args):
+        ranks.append(args)
+        return rank(*args)
+
+    monkeypatch.setattr(nc, "full_column_rank", counted)
+
+    def run(name):
+        lapack_calls.clear()
+        ranks.clear()
+        argv = ["functional", str(FIXTURES / f"{name}.json"), "--out", str(tmp_path / "r.json")]
+        assert cli.main(argv) == 0
+        # validation decides the ideal basis; no induced operator repeats it
+        assert len(ranks) == 1
+        return lapack_calls
+
+    calls = run("functional_m2")
+    # the rank certificate, and one admissibility eigensolve of full-rank G
+    assert calls["cholesky"] == 1 and calls["eigvalsh"] == 1
+    calls = run("functional_m2_fmax")
+    # one admissibility per distinct functional, plus the certificate that
+    # g dominates f_N
+    assert calls["cholesky"] <= 2 and calls["eigvalsh"] <= 5 and calls["eigh"] <= 4
+
+
+def _statement_cases():
+    """(algebra, ideal, f, g) over M_2, M_3, point algebras in a rotated
+    basis, the nilpotent algebra and rank-deficient functionals, with the
+    failing functionals and bounds beside the good ones."""
+    rng = rng_for(151)
+    cases = [
+        (M2, M2_IDEAL, M2_F, TRACE),
+        (M2, M2_IDEAL, random_m2_functional(rng), 3.0 * TRACE),
+        (M2, M2_IDEAL, np.array([-1.0, 0.0]), TRACE),  # not positive
+        (M2, M2_IDEAL, np.array([1j, 0.0]), TRACE),  # form not Hermitian
+        (M2, M2_IDEAL, np.ones(3), TRACE),  # wrong length
+        (M2, M2_IDEAL, M2_F, np.array([0.0, 1.0, 0.0, 0.0])),  # g not representable
+        (M2, M2_IDEAL, M2_F, 0.5 * TRACE),  # g does not dominate f_N
+        # a vector state on the whole algebra: its form has a kernel
+        (M2, whole_algebra_ideal(M2), np.array([1.0, 0, 0, 0]), TRACE),
+    ]
+    m3, m3_ideal = matrix_algebra(3)
+    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    rho = z @ z.conj().T + np.eye(3)
+    cases.append((m3, m3_ideal, m3_ideal.basis.T @ rho.T.reshape(-1), (rho + np.eye(3)).T.reshape(-1)))
+    for k in (3, 5):
+        algebra, to_rot, data = rotated_commutative(rng, k)
+        support = [0, 2]
+        ideal = rotated_ideal(data["transform"], support)
+        g = to_rot(rng.uniform(2.0, 3.0, size=k))
+        cases.append((algebra, ideal, rng.uniform(0.5, 1.5, size=2).astype(complex), g))
+        cases.append((algebra, ideal, np.array([1.0, 0.0], dtype=complex), g))  # rank-deficient
+    no_unit = StarAlgebra(mult=delta_algebra(2).mult, invol=np.eye(2, dtype=complex))
+    cases.append((no_unit, whole_algebra_ideal(no_unit), np.array([1.0, 2.0]), np.array([2.0, 3.0])))
+    nil = nilpotent_algebra()
+    nil_ideal = LeftIdeal(np.eye(3, dtype=complex)[:, 1:])
+    cases.append((nil, nil_ideal, np.array([0.0, 1.0], dtype=complex), np.array([1.0, 0, 0])))
+    cases.append((nil, whole_algebra_ideal(nil), np.array([1.0, 0, 0]), np.array([2.0, 0, 0])))
+    return cases
+
+
+_STATEMENTS = (
+    "hilbert", "admissibility", "gns", "extend", "extend_unital", "f_max", "representable"
+)
+
+
+def _outcome(statement, problem, f, g):
+    """What the statement returns, or the error it raises."""
+    args = (f, g) if statement == "f_max" else (f,)
+    try:
+        return getattr(problem, statement)(*args)
+    except KvnError as exc:
+        return exc
+
+
+def _arrays(out):
+    if isinstance(out, np.ndarray):
+        return [out]
+    if isinstance(out, KvnError):
+        return _arrays(getattr(out, "certificate", None))
+    if isinstance(out, tuple):
+        return [a for x in out for a in _arrays(x)]
+    if dataclasses.is_dataclass(out):
+        return _arrays(tuple(getattr(out, f.name) for f in dataclasses.fields(out)))
+    return []
+
+
+def _bytes(out):
+    if isinstance(out, KvnError):
+        head = (type(out), str(out))
+    elif dataclasses.is_dataclass(out):
+        head = (type(out), tuple(
+            repr(v) for v in (getattr(out, f.name) for f in dataclasses.fields(out))
+            if not isinstance(v, (np.ndarray, tuple))
+        ))
+    else:
+        head = (type(out), None if isinstance(out, np.ndarray) else np.float64(out).tobytes())
+    return head, [(a.dtype.str, a.shape, a.tobytes()) for a in _arrays(out)]
+
+
+@pytest.mark.parametrize("case", range(len(_statement_cases())))
+def test_memoized_statements_match_a_fresh_problem_bit_for_bit(case):
+    algebra, ideal, f, g = _statement_cases()[case]
+    shared = star_algebra._Problem.validated(algebra, ideal, DEFAULT_TOL)
+    # twice through, the second time in reverse, each read after the caller
+    # has overwritten the values it passed and every array a read returned
+    for statement in _STATEMENTS + _STATEMENTS[::-1]:
+        values = np.array(f, dtype=complex)
+        got = _outcome(statement, shared, values, g)
+        fresh = star_algebra._Problem.validated(algebra, ideal, DEFAULT_TOL)
+        want = _outcome(statement, fresh, f, g)
+        assert _bytes(got) == _bytes(want), statement
+        for a in [values, *_arrays(got)]:
+            a[...] = np.nan
+    # the records: f, and the shifted functional of f_max
+    assert len(shared.records) <= 2
 
 
 def test_ideal_closure_detected():
