@@ -21,6 +21,7 @@ import numpy as np
 from . import extension_set, kernels, partial_op, schwarz, star_algebra
 from . import commutation as commutation_mod
 from . import kvn as kvn_mod
+from . import numcore as nc
 from .errors import Infeasible, InvalidInput
 from .numcore import DEFAULT_TOL, STRICT_TOL, ToleranceConfig
 
@@ -351,7 +352,7 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tu
         "lhs": gap.lhs,
         "rhs": gap.rhs,
         "constant": gap.constant,
-        "holds": gap.lhs <= gap.rhs + cfg.cmp_tol * (1.0 + gap.rhs),
+        "holds": nc._within(gap.lhs - gap.rhs, gap.rhs, cfg.cmp_tol),
         "minimal_constant_estimate": estimate,
     }
     return "ok", result

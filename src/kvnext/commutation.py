@@ -56,12 +56,10 @@ def _hypothesis_status(
         if proj is None:
             raise DomainNotInvariant(f"invariance: {name} does not leave the domain invariant")
         coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
-    scale = cfg.cmp_tol * (
-        1.0 + nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
-    )
-    if nc.fro(c.conj().T @ p.action - p.action @ coeff["B"]) > scale:
+    scale = nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
+    if not nc._within(nc.fro(c.conj().T @ p.action - p.action @ coeff["B"]), scale, cfg.cmp_tol):
         raise HypothesesFail("C† A = A B fails on the domain")
-    if nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]) > scale:
+    if not nc._within(nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]), scale, cfg.cmp_tol):
         raise HypothesesFail("B† A = A C fails on the domain")
 
 
@@ -85,12 +83,12 @@ def verify_commutation(
     residual_bc = nc.fro(np.hstack([by / spec.lam, -w]) @ np.hstack([y, cy]).conj().T)
     j = y / np.sqrt(spec.lam)
     a_n_fro = nc.fro(nc._finite(j.conj().T @ j, _A_N))
-    tol = cfg.cmp_tol * (1.0 + a_n_fro * max(nc.fro(bm), nc.fro(cm)))
-    # an overflowed residual or tolerance would compare as a verdict
-    nc._finite(np.array([residual_cb, residual_bc, tol]), "the intertwining residual of a_n")
+    scale = a_n_fro * max(nc.fro(bm), nc.fro(cm))
+    # an overflowed residual or scale would compare as a verdict
+    nc._finite(np.array([residual_cb, residual_bc, scale]), "the intertwining residual of a_n")
     return CommutationReport(
         hypotheses_hold=True,
         residual_cb=residual_cb,
         residual_bc=residual_bc,
-        conclusion_holds=residual_cb <= tol and residual_bc <= tol,
+        conclusion_holds=nc._within(max(residual_cb, residual_bc), scale, cfg.cmp_tol),
     )

@@ -92,7 +92,7 @@ def _interval(
     return IntervalResult(
         a_n=a_n,
         a_max=top,
-        degenerate=nc.fro(top - a_n) <= cfg.cmp_tol * (1.0 + nc.fro(a_n)),
+        degenerate=nc._within(nc.fro(top - a_n), nc.fro(a_n), cfg.cmp_tol),
     )
 
 

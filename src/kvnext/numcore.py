@@ -10,9 +10,12 @@ Conventions used across the package:
   exceeds ``rank_rel_eps`` times the largest eigenvalue (:func:`_kept`).
   Gram matrices of partial operators scale the cutoff by the data
   instead; see ``partial_op.gram_spectrum``.
-* Positivity tolerates eigenvalues down to ``-psd_tol * (1 + max|eig|)``
+* Every tolerance test is one rule, :func:`_within`: a residual passes when
+  it is at most ``tol * (1 + scale)``, ``tol`` being ``cmp_tol`` or
+  ``psd_tol`` and ``scale`` the norm the residual's rounding grows with.
+  Positivity is its PSD form, ``-min eig <= psd_tol * (1 + max|eig|)``
   (:func:`spectrum_is_psd`), which absorbs eigensolver noise.  :func:`is_psd`
-  proves the verdict by one Cholesky of a shifted matrix when it can: one
+  proves that verdict by one Cholesky of a shifted matrix when it can: one
   that runs to completion below the floor accepts, one that fails above it
   refutes; ``eigvalsh`` decides only the band between the two shifts.
 
@@ -98,18 +101,27 @@ def _require_square(m: np.ndarray, name: str) -> None:
 
 def _adjoint(x: np.ndarray) -> np.ndarray:
     """x† as a fresh C-contiguous array: one strided copy, conjugated in place."""
-    t = x.T.copy()
+    t = np.swapaxes(x, -1, -2).copy()
     np.conjugate(t, out=t)
     return t
 
 
 def _herm(x: np.ndarray, adj: np.ndarray | None = None) -> np.ndarray:
-    """The Hermitian part 0.5 * (x + x.conj().T), bit for bit, accumulated in
-    place into ``adj`` (x†, formed here when not given; it is overwritten)."""
+    """The Hermitian part 0.5 * (x + x.conj().T) of x or of each matrix of a
+    stack, bit for bit, accumulated in place into ``adj`` (x†, formed here
+    when not given; it is overwritten)."""
     h = _adjoint(x) if adj is None else adj
     h += x
     h *= 0.5
     return h
+
+
+def _within(residual, scale, tol: float, unit=1.0):
+    """The tolerance rule residual <= tol * (unit + scale), entry by entry on
+    arrays; ``unit`` is 1 except on data rescaled by 2^-e, where it is 2^-e.
+    NaN never passes; an infinite residual passes only an infinite scale, so
+    callers whose norms can overflow decide that case first."""
+    return residual <= tol * (unit + scale)
 
 
 def hermitian_residual(m: np.ndarray) -> float:
@@ -131,11 +143,11 @@ def _hermitian_within(a: np.ndarray, residual: float, cfg: ToleranceConfig) -> b
     being the left side.  Where the threshold overflows, the same rule is
     decided on a 2^-e, e the exponent of the largest entry of a: the scaling
     is exact and no norm of the scaled matrix overflows."""
-    limit = cfg.cmp_tol * (1.0 + fro(a))
-    if math.isfinite(limit):
-        return residual <= limit
+    scale = fro(a)
+    if math.isfinite(scale):
+        return _within(residual, scale, cfg.cmp_tol)
     s, e = _pow2_scaled(a.copy())
-    return hermitian_residual(s) <= cfg.cmp_tol * (math.ldexp(1.0, -e) + fro(s))
+    return _within(hermitian_residual(s), fro(s), cfg.cmp_tol, math.ldexp(1.0, -e))
 
 
 def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
@@ -152,7 +164,7 @@ def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether eigenvalues ``w`` pass min w >= -psd_tol * (1 + max|w|)."""
     if w.size == 0:
         return True
-    return float(np.min(w)) >= -cfg.psd_tol * (1.0 + float(np.max(np.abs(w))))
+    return _within(-float(np.min(w)), float(np.max(np.abs(w))), cfg.psd_tol)
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
@@ -223,15 +235,24 @@ def _cholesky_certifies_rank(m: np.ndarray, cfg: ToleranceConfig) -> bool:
         return False
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
         mm = m.conj().T @ m
-    diag = mm.reshape(-1)[:: d + 1]  # a view: matmul returns a C-contiguous mm
-    t = float(diag.real.sum())
+    t = float(mm.diagonal().real.sum())
     if not 2.0**-500 <= t <= 2.0**1000:  # also false for a NaN trace
         return False
-    diag -= _RANK_TAU * t
+    return _shifted_cholesky_runs(mm, -_RANK_TAU * t)
+
+
+def _shifted_cholesky_runs(h: np.ndarray, c: float) -> bool:
+    """Whether the Cholesky factorization of h + c I runs to completion.
+    ``h`` is shifted in place and its diagonal restored bit for bit."""
+    step = h.shape[0] + 1
+    diag = h.flat[::step]  # a copy
+    h.flat[::step] = diag + c
     try:
-        np.linalg.cholesky(mm)
+        np.linalg.cholesky(h)
     except np.linalg.LinAlgError:
         return False
+    finally:
+        h.flat[::step] = diag
     return True
 
 
@@ -318,10 +339,10 @@ def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.nda
 
 def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
     """The normalized image m v of the column v of ``vecs`` that ``m`` moves
-    most, when ``||m v|| > cmp_tol * (1 + ||m||_F)``; None otherwise."""
+    most, when ``||m v||`` fails :func:`_within` at ``||m||_F``; else None."""
     images = m @ vecs
     norms = np.linalg.norm(images, axis=0)
-    if not np.max(norms, initial=0.0) > cfg.cmp_tol * (1.0 + fro(m)):
+    if _within(np.max(norms, initial=0.0), fro(m), cfg.cmp_tol):
         return None
     y = images[:, int(np.argmax(norms))]
     return y / np.linalg.norm(y)
@@ -366,32 +387,30 @@ def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np
 _PSD_MAX_N = 1024
 
 
+def _psd_certificate_norm(h: np.ndarray) -> float | None:
+    """||h||_F if the PSD certificates apply: n <= 1024, ||h||_F in [2^-500, 2^500]."""
+    if not 0 < h.shape[0] <= _PSD_MAX_N:
+        return None
+    with np.errstate(over="ignore", under="ignore"):  # tested just below
+        f = fro(h)
+    return f if 2.0**-500 <= f <= 2.0**500 else None  # None for a NaN norm too
+
+
 def _cholesky_certifies_psd(h: np.ndarray, psd_tol: float) -> bool:
     """Whether one Cholesky of h - c I proves that every eigenvalue
     ``eigvalsh(h)`` returns is at least -psd_tol * (1 + L) (see the bound
     above).  ``h``, exactly Hermitian, is shifted in place and restored."""
+    f = _psd_certificate_norm(h)
+    if f is None:
+        return False
     n = h.shape[0]
-    if not 0 < n <= _PSD_MAX_N:
-        return False
-    with np.errstate(over="ignore", under="ignore"):  # tested just below
-        f = fro(h)
-    if not 2.0**-500 <= f <= 2.0**500:  # also false for a NaN norm
-        return False
-    diag = h.flat[:: n + 1]  # a copy
-    s = float(np.abs(diag).sum())
+    s = float(np.abs(h.diagonal()).sum())
     e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
     floor = -psd_tol * (1.0 + max(0.99 * f / math.sqrt(n) - e, 0.0))
     slack = 1.25 * (e + 5.0 * (n + 1) * _UNIT_ROUNDOFF * (f + s - (n + 2) * floor))
     if floor < 0.0 and slack > -floor / 2:  # no exactly singular h would pass
         return False
-    h.flat[:: n + 1] = diag - (floor + slack)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return False
-    finally:
-        h.flat[:: n + 1] = diag
-    return True
+    return _shifted_cholesky_runs(h, -(floor + slack))
 
 
 # Refuting certificate.  With h, f, n, u and e as above, let c > 0 and
@@ -423,24 +442,13 @@ def _cholesky_refutes_psd(h: np.ndarray, psd_tol: float) -> bool:
     """Whether one failed Cholesky of h + c I proves that some eigenvalue
     ``eigvalsh(h)`` returns lies below -psd_tol * (1 + max|w|) (see the bound
     above).  ``h``, exactly Hermitian, is shifted in place and restored."""
+    f = _psd_certificate_norm(h)
+    if f is None:
+        return False
     n = h.shape[0]
-    if not 0 < n <= _PSD_MAX_N:
-        return False
-    with np.errstate(over="ignore", under="ignore"):  # tested just below
-        f = fro(h)
-    if not 2.0**-500 <= f <= 2.0**500:  # also false for a NaN norm
-        return False
-    diag = h.flat[:: n + 1]  # a copy
     e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
     demmel = 4.2 * (n + 1) ** 2 * _UNIT_ROUNDOFF * f
-    h.flat[:: n + 1] = diag + 1.25 * (psd_tol * (1.0 + f + e) + e + demmel)
-    try:
-        np.linalg.cholesky(h)
-    except np.linalg.LinAlgError:
-        return True
-    finally:
-        h.flat[:: n + 1] = diag
-    return False
+    return not _shifted_cholesky_runs(h, 1.25 * (psd_tol * (1.0 + f + e) + e + demmel))
 
 
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -504,10 +512,10 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 
 def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
-    """Coordinates q† X of X over the orthonormal columns q, or None when X
-    is not in their span: ``||X - q q† X||_F > cmp_tol * (1 + ||X||_F)``."""
+    """Coordinates q† X of X over the orthonormal columns q, or None when X is
+    not in their span: ``||X - q q† X||_F`` fails :func:`_within` at ``||X||_F``."""
     coords = q.conj().T @ x
-    if fro(x - q @ coords) > cfg.cmp_tol * (1.0 + fro(x)):
+    if not _within(fro(x - q @ coords), fro(x), cfg.cmp_tol):
         return None
     return coords
 

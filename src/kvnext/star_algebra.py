@@ -172,11 +172,9 @@ _ASSOC_BLOCK = 1 << 16
 
 
 def _rows_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """||x - y|| <= tol (1 + ||x|| + ||y||) for every row along the last axis."""
+    """||x - y|| within tol at scale ||x|| + ||y|| for every row along the last axis."""
     norm = np.linalg.norm
-    return bool(
-        np.all(norm(x - y, axis=-1) <= tol * (1.0 + norm(x, axis=-1) + norm(y, axis=-1)))
-    )
+    return bool(np.all(nc._within(norm(x - y, axis=-1), norm(x, axis=-1) + norm(y, axis=-1), tol)))
 
 
 def _associative(mult: np.ndarray, tol: float) -> bool:
@@ -199,11 +197,11 @@ def validate_algebra(
 ) -> AlgebraValidation:
     """Check associativity, involution laws, the unit, and ideal closure.
 
-    Each law is one batched contraction compared element by element with
-    ||x - y|| <= cmp_tol (1 + ||x|| + ||y||).  Closure is one least-squares
-    solve for the ideal coordinates of all m p products b_i a_l, each
-    required to reproduce its product within cmp_tol (1 + ||b_i a_l||);
-    the solution is the report's ``left_mult``.
+    Each law is one batched contraction compared element by element, ||x - y||
+    by the cmp_tol rule at scale ||x|| + ||y||.  Closure is one least-squares
+    solve for the ideal coordinates of all m p products b_i a_l, each required
+    to reproduce its product by that rule at scale ||b_i a_l||; the solution
+    is the report's ``left_mult``.
     """
     m = algebra.m
     if ideal.basis.shape[0] != m:
@@ -238,7 +236,7 @@ def validate_algebra(
             products = (mult.transpose(2, 0, 1) @ ideal.basis).reshape(m, m * p)
             coords = np.linalg.lstsq(ideal.basis, products, rcond=None)[0]
             resid = np.linalg.norm(ideal.basis @ coords - products, axis=0)
-            if np.all(resid <= tol * (1.0 + np.linalg.norm(products, axis=0))):
+            if np.all(nc._within(resid, np.linalg.norm(products, axis=0), tol)):
                 left = coords.reshape(p, m, p).transpose(1, 0, 2)
             else:
                 failures.append("ideal_closure")
@@ -278,22 +276,21 @@ class _Functional:
         """
         spec, left = self.spec, self.left
         gx = left.conj().transpose(0, 2, 1) @ spec.gram @ left
-        gx = 0.5 * (gx + gx.conj().transpose(0, 2, 1))
+        gx = nc._herm(gx)
         ok = np.ones(left.shape[0], dtype=bool)
         kernel = spec.kernel
         if kernel.shape[1]:
             top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
             leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
             ok = np.all(
-                np.sqrt(np.maximum(leak, 0.0))
-                <= spec.cfg.cmp_tol * (1.0 + np.sqrt(top))[:, None],
+                nc._within(np.sqrt(np.maximum(leak, 0.0)), np.sqrt(top)[:, None], spec.cfg.cmp_tol),
                 axis=1,
             )
         lambdas = np.zeros(left.shape[0])
         if spec.r:
             root_inv = spec.u / np.sqrt(spec.lam)
             w = root_inv.conj().T @ gx @ root_inv
-            ev = np.linalg.eigvalsh(0.5 * (w + w.conj().transpose(0, 2, 1)))
+            ev = np.linalg.eigvalsh(nc._herm(w))
             lambdas = np.maximum(ev[:, -1], 0.0)
         lambdas[~ok] = math.inf
         return AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)

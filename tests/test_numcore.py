@@ -153,14 +153,39 @@ def _layouts():
 
 
 def test_hermitian_part_and_residual_equal_the_plain_expressions_bit_for_bit():
-    for x in _layouts():
-        plain = 0.5 * (x + x.conj().T)
+    rng = rng_for(89)
+    stack = rng.standard_normal((3, 5, 5)) + 1j * rng.standard_normal((3, 5, 5))
+    for x in [*_layouts(), stack]:
+        adj = np.swapaxes(x.conj(), -1, -2)  # x.conj().T on a matrix
+        plain = 0.5 * (x + adj)
         kernel = nc._herm(x)
         assert kernel.tobytes() == plain.tobytes()
         assert kernel.flags.c_contiguous == plain.flags.c_contiguous
         assert np.signbit(kernel.view(float)).tobytes() == np.signbit(plain.view(float)).tobytes()
         residual = nc.hermitian_residual(x)
-        assert np.float64(residual).tobytes() == np.float64(nc.fro(x - x.conj().T)).tobytes()
+        assert np.float64(residual).tobytes() == np.float64(nc.fro(x - adj)).tobytes()
+
+
+_rule_values = st.just(0.0) | st.floats(2.0**-400, 2.0**400) | st.floats(-(2.0**400), -(2.0**-400))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    _rule_values,
+    _rule_values.map(abs),
+    _rule_values.map(abs),
+    st.floats(1e-16, 0.5),
+    st.integers(-300, 300),
+)
+def test_tolerance_rule_is_exact_under_powers_of_two(r, s, u, tol, k):
+    """Scaling residual, scale and unit by 2^k keeps every product and sum
+    normal, so the rule decides the same; the Hermitian rule's rescaled
+    branch relies on this."""
+    scaled = nc._within(np.ldexp(r, k), np.ldexp(s, k), tol, np.ldexp(u, k))
+    assert scaled == nc._within(r, s, tol, u)
+    # on arrays the rule is applied entry by entry
+    pairs = [np.array([x, np.ldexp(x, k)]) for x in (r, s, u)]
+    assert nc._within(pairs[0], pairs[1], tol, pairs[2]).tolist() == [scaled, scaled]
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned

@@ -49,3 +49,25 @@ def test_the_hermitian_part_has_one_home():
             if pattern.search(line) and not any(number in home for home in homes):
                 found.append(f"{path.name}:{number}: {line.strip()}")
     assert found == []
+
+
+def test_the_tolerance_rule_has_one_home():
+    """No module but ``numcore`` multiplies a tolerance into a threshold:
+    every tol * (1 + scale) test goes through ``numcore._within``."""
+    tolerances = {"tol", "cmp_tol", "psd_tol"}
+
+    def is_tolerance(node: ast.expr) -> bool:
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+        return name in tolerances
+
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        if path.name == "numcore.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+                if is_tolerance(node.left) or is_tolerance(node.right):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
