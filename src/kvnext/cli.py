@@ -296,8 +296,8 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
     problem = star_algebra._Problem.validated(
         algebra, star_algebra.LeftIdeal(ideal_basis), cfg
     )
-    hb = problem.hilbert(values)
-    adm = problem.admissibility(values)
+    rec = problem.record(values)
+    hb, adm = rec.hilbert, rec.admissibility
     result = {
         "hilbert_bounded": hb.bounded,
         "hilbert_bound": ext_real_out(hb.constant),
@@ -309,8 +309,8 @@ def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) ->
             "not Hilbert bounded" if not hb.bounded else "not admissible"
         )
         return "not_extendible", result
-    result["rank"] = problem.record(values).spec.r
-    result["f_n"] = _grid(np.ravel(problem.extend(values)))
+    result["rank"] = rec.spec.r
+    result["f_n"] = _grid(np.ravel(rec.f_n))
     if algebra.unit is not None:
         result["f_n_unital"] = _grid(np.ravel(problem.extend_unital(values)))
     bound_values = payload.get("bound_functional")

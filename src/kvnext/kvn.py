@@ -113,5 +113,7 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
 
 
 def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
-    """Operator norm of the minimal extension; equals the Hilbert bound."""
-    return krein_von_neumann(p, cfg).norm
+    """Operator norm of the minimal extension, off the PSD matrix a_n: the
+    Hilbert bound (``KvnResult.norm``, off j† j) by a path that forms no J."""
+    a_n = _minimal_extension(gram_spectrum(p, cfg))
+    return float(np.max(np.linalg.eigvalsh(a_n), initial=0.0))

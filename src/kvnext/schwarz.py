@@ -63,11 +63,15 @@ class _Family:
         return cls(mats, eigens, cfg)
 
     def gap(self, xs: list[np.ndarray]) -> GapReport:
-        total = sum(self.mats)
-        lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(self.mats, xs))) ** 2)
+        """Both sides; ResultOutOfRange when a side or sum_j A_j overflows."""
+        with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+            total = nc._finite(sum(self.mats), "sum_j A_j")
+            lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(self.mats, xs))) ** 2)
+            forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(self.mats, xs))
+        lhs = nc._finite(lhs, "left side ||sum_j A_j x_j||^2")
         constant = float(np.max(np.linalg.eigvalsh(nc._herm(total)), initial=0.0))
-        forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(self.mats, xs))
-        return GapReport(lhs=lhs, rhs=constant * forms, constant=constant)
+        rhs = nc._finite(constant * forms, "right side ||sum_j A_j|| sum_j <A_j x_j, x_j>")
+        return GapReport(lhs=lhs, rhs=rhs, constant=constant)
 
     def estimate(self, iterations: int, seed: int) -> float:
         """The power iteration of :func:`minimal_constant_estimate`, its

@@ -26,12 +26,12 @@ solves once for the ideal coordinates of every product b_i a_l; the
 resulting stack L[i] of ideal-coordinate matrices of a -> b_i a yields
 the induced action, the admissibility constants and pi.  Each functional
 is decided once per problem: its Gram form is factored once, and its
-Hilbert bound, admissibility, GNS data and f_N are computed on first read.
+Hilbert bound, admissibility, GNS data and f_N are computed on first read,
+and returned as they are; the CLI reads one record per request.
 """
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -84,6 +84,8 @@ class StarAlgebra:
         v = np.asarray(self.invol, dtype=np.complex128)
         if v.shape != (t.shape[0], t.shape[0]):
             raise ShapeMismatch(f"involution must be {t.shape[0]} square, got {v.shape}")
+        nc.as_vector(t, "structure tensor")  # ShapeMismatch on non-finite entries
+        nc.as_vector(v, "involution")
         u = self.unit
         if u is not None:
             u = nc.as_vector(u, "unit")
@@ -300,7 +302,7 @@ class _Functional:
         if not adm.admissible:
             raise NotAdmissible(
                 "left multiplication does not descend to the auxiliary space",
-                certificate=adm.lambdas.copy(),
+                certificate=adm.lambdas,
             )
 
     @cached_property
@@ -328,8 +330,8 @@ class _Problem:
 
     ``left`` is the validation's stack L (``left[i]`` the ideal-coordinate
     matrix of a -> b_i a) and ``records`` holds one :class:`_Functional`
-    per functional, keyed by its values' bytes.  The statements hand out
-    copies of what the records hold.
+    per functional, keyed by its values' bytes.  What a record holds is
+    read, never written: the statements return it as it is.
     """
 
     algebra: StarAlgebra
@@ -347,7 +349,7 @@ class _Problem:
         return cls(algebra, ideal, cfg, report.left_mult)
 
     def record(self, f) -> _Functional:
-        """The functional's record; its ``spec`` is to be read, not written.
+        """The functional's record, holding its own copy of the values.
         Validation decided the rank of the ideal basis (the whole-algebra
         basis is the identity), so the induced operator's is not tested."""
         w = nc.as_vector(f, "functional values")
@@ -359,19 +361,6 @@ class _Problem:
             spec = _spectrum(op, self.cfg, rank_decided=True)
             self.records[key] = _Functional(w.copy(), spec, self.left)
         return self.records[key]
-
-    def hilbert(self, f) -> HilbertBoundReport:
-        return self.record(f).hilbert
-
-    def admissibility(self, f) -> AdmissibilityReport:
-        adm = self.record(f).admissibility
-        return AdmissibilityReport(adm.admissible, adm.lambdas.copy())
-
-    def gns(self, f) -> GnsData:
-        return copy.deepcopy(self.record(f).gns)
-
-    def extend(self, f) -> np.ndarray:
-        return self.record(f).f_n.copy()
 
     def extend_unital(self, f) -> np.ndarray:
         if self.algebra.unit is None:
@@ -437,7 +426,7 @@ def is_hilbert_bounded(
     algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> HilbertBoundReport:
     """Sharp constant in |f(a)|^2 <= M f(a* a), +inf when there is none."""
-    return _Problem.validated(algebra, ideal, cfg).hilbert(f)
+    return _Problem.validated(algebra, ideal, cfg).record(f).hilbert
 
 
 def is_admissible(
@@ -449,7 +438,7 @@ def is_admissible(
     x in the basis bounds f(a* x* x a) by a fixed combination of the
     basis constants, so existence for all x follows.
     """
-    return _Problem.validated(algebra, ideal, cfg).admissibility(f)
+    return _Problem.validated(algebra, ideal, cfg).record(f).admissibility
 
 
 def gns(
@@ -462,14 +451,14 @@ def gns(
     pi pushes left multiplication through that coordinate map, and zeta
     represents f itself on the embedded ideal.
     """
-    return _Problem.validated(algebra, ideal, cfg).gns(f)
+    return _Problem.validated(algebra, ideal, cfg).record(f).gns
 
 
 def extend_functional(
     algebra: StarAlgebra, ideal: LeftIdeal, f, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> np.ndarray:
     """Minimal representable extension: f_N(b_k) = <pi(b_k) zeta, zeta>."""
-    return _Problem.validated(algebra, ideal, cfg).extend(f)
+    return _Problem.validated(algebra, ideal, cfg).record(f).f_n
 
 
 def fn_on_positive(
@@ -479,7 +468,7 @@ def fn_on_positive(
     xv = nc.as_vector(x, "x")
     if xv.size != algebra.m:
         raise ShapeMismatch(f"x must have length {algebra.m}, got {xv.size}")
-    data = _Problem.validated(algebra, ideal, cfg).record(f).gns  # read, not handed out
+    data = _Problem.validated(algebra, ideal, cfg).record(f).gns
     return float(np.linalg.norm(data.j_star_full @ xv) ** 2)
 
 

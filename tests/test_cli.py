@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import pathlib
 import tracemalloc
@@ -393,6 +394,40 @@ def test_result_out_of_float_range_is_invalid_input(tmp_path):
     assert report["status"] == "invalid_input"
     assert report["result"] == {}
     assert report["diagnostics"][0] == "minimal extension a_n = Ad G+ Ad† overflows the float range"
+
+
+def test_schwarz_whose_gap_overflows_is_invalid_input(tmp_path):
+    problem = json.loads((FIXTURES / "schwarz_diag.json").read_text())
+    problem["payload"]["vectors"] = [[[1e160, 0.0], [1e160, 0.0]]]
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main(["schwarz", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == [
+        "left side ||sum_j A_j x_j||^2 overflows the float range"
+    ]
+
+
+@pytest.mark.parametrize(
+    "field, entry, name",
+    [("mult", (0, 0, 0, 0), "structure tensor"), ("invol", (0, 0, 0), "involution")],
+)
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_structure_constants_are_invalid_input(field, entry, name, bad, tmp_path):
+    problem = json.loads((FIXTURES / "functional_m2.json").read_text())
+    holder = problem["payload"][field]
+    for key in entry[:-1]:
+        holder = holder[key]
+    holder[entry[-1]] = bad
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main(["functional", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == [f"{name} contains non-finite entries"]
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

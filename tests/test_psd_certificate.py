@@ -19,9 +19,6 @@ from kvnext import PartialOperator, a_max, in_interval, krein_von_neumann
 from kvnext import numcore as nc
 from util_gen import orthonormal_columns, random_psd, random_unitary, rng_for
 
-# Squares of data scaled by 2^500 overflow on purpose.
-pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
-
 TOLS = [nc.DEFAULT_TOL, nc.STRICT_TOL]
 SCALES = [-500, 0, 500]
 # relative offsets 2^-k from a threshold, on both sides

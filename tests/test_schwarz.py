@@ -5,7 +5,7 @@ import pytest
 
 from kvnext import minimal_constant_estimate, schwarz_gap
 from kvnext import numcore as nc
-from kvnext.errors import NotPsd, ShapeMismatch
+from kvnext.errors import NotPsd, ResultOutOfRange, ShapeMismatch
 from kvnext.schwarz import _Family
 from util_gen import random_psd, random_vector, rng_for
 
@@ -66,6 +66,23 @@ def test_errors():
         schwarz_gap([np.eye(2)], [np.zeros(3)])
     with pytest.raises(NotPsd):
         schwarz_gap([-np.eye(2)], [np.zeros(2)])
+
+
+@pytest.mark.parametrize(
+    "scale, xs, what",
+    [
+        # ||x||^2 = 2e320: numpy's norm squares without scaling
+        (1.0, [[1e160, 1e160]], "left side ||sum_j A_j x_j||^2"),
+        # the x_j cancel on the left, while their forms sum to 2e308
+        (1.0, [[1e154, 0.0], [-1e154, 0.0]], "right side ||sum_j A_j|| sum_j <A_j x_j, x_j>"),
+        # each A_j is representable, their sum 2.4e308 is not
+        (8e307, [[0.0, 0.0]] * 3, "sum_j A_j"),
+    ],
+)
+def test_gap_that_overflows_raises_result_out_of_range(scale, xs, what):
+    with pytest.raises(ResultOutOfRange) as exc:
+        schwarz_gap([scale * np.eye(2)] * len(xs), [np.array(x) for x in xs])
+    assert str(exc.value) == f"{what} overflows the float range"
 
 
 def test_estimate_identity():

