@@ -11,7 +11,9 @@ domain basis and compared columnwise; spectral boundedness of B C on the
 domain, required in wider generality, is automatic here and recorded as
 such.  The conclusion is read off the factor y = Ad U of a_n = w y†,
 w = y Lam^{-1}, without forming a_n: C† a_n - a_n B = [C† y Lam^{-1}, -w]
-[y, B† y]†, and ||a_n||_F = ||j† j||_F for j = y Lam^{-1/2}.
+[y, B† y]†, with C† y = (C† Ad) U and B† y = (B† Ad) U from the
+hypotheses; it is -(B† a_n - a_n C)† as a_n = a_n†, so it measures both
+relations; and ||a_n||_F = ||j† j||_F for j = y Lam^{-1/2}.
 """
 
 from __future__ import annotations
@@ -37,16 +39,11 @@ class CommutationReport:
 
 
 def _hypothesis_status(
-    p: PartialOperator, b: np.ndarray, c: np.ndarray, cfg: ToleranceConfig
+    p: PartialOperator, b: np.ndarray, c: np.ndarray, products: tuple, cfg: ToleranceConfig
 ) -> None:
     """Invariance and intertwining on the domain of an already validated
-    ``p``; raises DomainNotInvariant or HypothesesFail for the first that fails."""
-    if b.shape != (p.n, p.n) or c.shape != (p.n, p.n):
-        raise ShapeMismatch(
-            f"B and C must be {p.n} x {p.n}, got {b.shape} and {c.shape}"
-        )
-    if p.d == 0:
-        return
+    ``p``, given ``products`` = (C† Ad, B† Ad); raises DomainNotInvariant or
+    HypothesesFail for the first that fails."""
     # D is validated full column rank, so ran D = ran q and r is invertible:
     # no further rank decision is made here.
     q, r = np.linalg.qr(p.domain_basis)
@@ -57,38 +54,38 @@ def _hypothesis_status(
             raise DomainNotInvariant(f"invariance: {name} does not leave the domain invariant")
         coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
     scale = nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
-    if not nc._within(nc.fro(c.conj().T @ p.action - p.action @ coeff["B"]), scale, cfg.cmp_tol):
-        raise HypothesesFail("C† A = A B fails on the domain")
-    if not nc._within(nc.fro(b.conj().T @ p.action - p.action @ coeff["C"]), scale, cfg.cmp_tol):
-        raise HypothesesFail("B† A = A C fails on the domain")
+    for product, m, law in zip(products, "BC", ("C† A = A B", "B† A = A C")):
+        if not nc._within(nc.fro(product - p.action @ coeff[m]), scale, cfg.cmp_tol):
+            raise HypothesesFail(f"{law} fails on the domain")
 
 
 def verify_commutation(
     p: PartialOperator, b, c, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> CommutationReport:
-    """Check the hypotheses, then measure the intertwining residuals of a_n.
+    """Check the hypotheses, then measure the intertwining residual of a_n.
 
-    ``conclusion_holds`` must come out true whenever the preconditions
-    do; a false value signals a tolerance or implementation fault and is
-    reported rather than hidden.
+    ``residual_cb`` and ``residual_bc`` are one number: a_n = a_n† makes
+    B† a_n - a_n C = -(C† a_n - a_n B)†.  ``conclusion_holds`` must come out
+    true whenever the preconditions do; a false value signals a tolerance
+    or implementation fault and is reported rather than hidden.
     """
     bm = nc.as_matrix(b, "B")
     cm = nc.as_matrix(c, "C")
     spec = gram_spectrum(p, cfg)
-    _hypothesis_status(p, bm, cm, cfg)
+    if bm.shape != (p.n, p.n) or cm.shape != (p.n, p.n):
+        raise ShapeMismatch(f"B and C must be {p.n} x {p.n}, got {bm.shape} and {cm.shape}")
+    cad, bad = cm.conj().T @ p.action, bm.conj().T @ p.action
+    _hypothesis_status(p, bm, cm, (cad, bad), cfg)
     y = _extendible(spec).op.action @ spec.u
-    w = y / spec.lam
-    by, cy = bm.conj().T @ y, cm.conj().T @ y
-    residual_cb = nc.fro(np.hstack([cy / spec.lam, -w]) @ np.hstack([y, by]).conj().T)
-    residual_bc = nc.fro(np.hstack([by / spec.lam, -w]) @ np.hstack([y, cy]).conj().T)
+    left, right = np.hstack([cad @ spec.u / spec.lam, -y / spec.lam]), np.hstack([y, bad @ spec.u])
+    residual = nc.fro(left @ right.conj().T)
     j = y / np.sqrt(spec.lam)
-    a_n_fro = nc.fro(nc._finite(j.conj().T @ j, _A_N))
-    scale = a_n_fro * max(nc.fro(bm), nc.fro(cm))
+    scale = nc.fro(nc._finite(j.conj().T @ j, _A_N)) * max(nc.fro(bm), nc.fro(cm))
     # an overflowed residual or scale would compare as a verdict
-    nc._finite(np.array([residual_cb, residual_bc, scale]), "the intertwining residual of a_n")
+    nc._finite(np.array([residual, scale]), "the intertwining residual of a_n")
     return CommutationReport(
         hypotheses_hold=True,
-        residual_cb=residual_cb,
-        residual_bc=residual_bc,
-        conclusion_holds=nc._within(max(residual_cb, residual_bc), scale, cfg.cmp_tol),
+        residual_cb=residual,
+        residual_bc=residual,
+        conclusion_holds=nc._within(residual, scale, cfg.cmp_tol),
     )

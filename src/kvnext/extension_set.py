@@ -114,11 +114,12 @@ def in_interval(
     cm = nc.as_matrix(candidate, "candidate")
     if cm.shape != (p.n, p.n):
         raise ShapeMismatch(f"candidate must be {p.n} x {p.n}, got {cm.shape}")
-    interval = a_max(p, b, cfg)
     # a_n <= cm <= a_max in the Loewner order; both ends are Hermitian by
-    # construction, so only the candidate's symmetry needs its one test
+    # construction, so only the candidate's symmetry needs its one test, and
+    # it comes first: a non-Hermitian candidate costs no factorization
     if not nc.is_hermitian(cm, cfg):
         raise NotHermitian("candidate is not Hermitian within tolerance")
+    interval = a_max(p, b, cfg)
     return nc.is_psd(cm - interval.a_n, cfg) and nc.is_psd(interval.a_max - cm, cfg)
 
 
@@ -184,8 +185,9 @@ def halmos_complete(
     domain[:k, :] = np.eye(k)
     column = PartialOperator(domain, np.vstack([a11m, a21m]))
     try:
-        # D has full rank, so only the Hermitian or PSD test on G = A11 can fail.
-        spec = gram_spectrum(column, cfg)
+        # D = [I; 0] has orthonormal columns, so its rank is not tested: only
+        # the Hermitian or PSD test on G = A11 can fail.
+        spec = _spectrum(column, cfg, rank_decided=True)
     except InvalidOperator as exc:
         raise NotPsd("A11 is not positive semidefinite within tolerance") from exc
 

@@ -273,6 +273,44 @@ def full_column_rank(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return bool(m.shape[1] <= m.shape[0] and np.all(sv > cfg.rank_rel_eps * top))
 
 
+# Rank read-off.  Let D and Ad be n x d with d <= n, G = D† Ad, u the unit
+# roundoff and F = ||D||_F ||Ad||_F.  Validation computes fl(G), its
+# Hermitian part H and w = eigh(H); three roundings separate w from the
+# eigenvalues of herm G:
+#   * the product: fl(G) = G + E with |E| <= sqrt(2) gamma_2n |D|†|Ad|, as in
+#     the rank certificate, so ||E||_2 <= 2.9 n u F;
+#   * the symmetrization: one rounding per entry, at most 2 u ||fl(G)||_F <=
+#     2.1 u F, since ||G||_F <= F;
+#   * the eigensolver: w within 32 (d + 1) u ||H||_F <= 32.1 (d + 1) u F of
+#     the eigenvalues of H, the allowance of the PSD certificate below (and,
+#     as there, d <= 1024).
+# So lambda_min(herm G) >= w_min - 36 (n + d + 1) u F.  For a square M and x
+# a right singular vector of sigma_min(M), lambda_min(herm M) <= Re x† M x
+# <= ||M x|| = sigma_min(M); and sigma_d(D† Ad) <= sigma_d(D) sigma_1(Ad)
+# (Horn & Johnson, Topics in Matrix Analysis, Thm 3.3.16).  With
+# F >= sigma_max(D) sigma_max(Ad), a spectrum with
+#     w_min > (2 rank_rel_eps + 128 (n + d + 1) u) F
+# proves sigma_min(D) > (rank_rel_eps + 64 (n + d) u) sigma_max(D): the
+# margins (2 over 1, 128 over 36 + 64) absorb the rounding of the computed F,
+# the product of two _sigma_max_bracket ends, at most 2 (n + d + 2) u
+# relative.  LAPACK's singular values lie within p(n, d) u sigma_max of the
+# exact ones (LAPACK Users' Guide, sec. 4.9); with the allowance
+# p = 32 (n + d), the computed sigma_min then exceeds rank_rel_eps times the
+# computed sigma_max, so the SVD rule of full_column_rank accepts D.  The
+# brackets exist only where no square of an entry overflows and each norm is
+# 0 or at least 2^-400.  A zero norm makes fl(G) = 0, which no w_min clears;
+# otherwise underflow in fl(G) adds at most 2 n d 2^-1074, below u F.
+
+
+def _gram_certifies_rank(w: np.ndarray, n: int, brackets, cfg: ToleranceConfig) -> bool:
+    """Whether eigenvalues ``w`` of herm(D† Ad), D with ``n`` rows and ``brackets``
+    those of D and Ad, prove that :func:`full_column_rank` accepts D (see above)."""
+    if not 0 < w.size <= min(n, _PSD_MAX_N) or None in brackets:
+        return False
+    f = brackets[0][1] * brackets[1][1]
+    return bool(w[0] > (2.0 * cfg.rank_rel_eps + 128.0 * (n + w.size + 1) * _UNIT_ROUNDOFF) * f)
+
+
 # Data-scale cutoff.  Relative slack granted between an end of
 # _sigma_max_bracket and LAPACK's sigma_max: both carry rounding errors of a
 # modest multiple of (n + d) u, many orders of magnitude below this.
@@ -295,11 +333,14 @@ def _sigma_max_bracket(x: np.ndarray) -> tuple[float, float] | None:
     return max(float(np.max(col)), fro / math.sqrt(min(x.shape))), fro
 
 
-def _above_data_cut(ev: np.ndarray, cfg: ToleranceConfig, *mats: np.ndarray) -> np.ndarray:
+def _above_data_cut(
+    ev: np.ndarray, cfg: ToleranceConfig, *mats: np.ndarray, brackets=None
+) -> np.ndarray:
     """Mask of the eigenvalues ``ev`` above rank_rel_eps * max(top, scale),
     with top = max(ev, 0) and scale the product of sigma_max over ``mats``.
 
-    The sigma_max are first bracketed (:func:`_sigma_max_bracket`); an
+    The sigma_max are first bracketed (:func:`_sigma_max_bracket`, or
+    ``brackets`` when the caller holds those of ``mats``); an
     eigenvalue outside the band that the brackets leave for the cutoff,
     widened by _SIGMA_REL, is decided by the band.  Only when one falls
     inside it, or a bracket is missing or not finite, is the scale
@@ -307,7 +348,7 @@ def _above_data_cut(ev: np.ndarray, cfg: ToleranceConfig, *mats: np.ndarray) -> 
     """
     top = float(np.max(ev, initial=0.0))
     eps = cfg.rank_rel_eps
-    brackets = [_sigma_max_bracket(m) for m in mats]
+    brackets = brackets or [_sigma_max_bracket(m) for m in mats]
     if None not in brackets:
         low = eps * max(top, math.prod(b[0] for b in brackets)) * (1.0 - _SIGMA_REL)
         high = eps * max(top, math.prod(b[1] for b in brackets)) * (1.0 + _SIGMA_REL)

@@ -15,12 +15,14 @@ is finite.  Both criteria are implemented, along with the per-direction
 constant M_y of the quadratic characterization.
 
 Every construction in the package reads one :class:`GramSpectrum`: a
-single pass of :func:`gram_spectrum` validates the operator (the rank
-test on D, certified by one Cholesky of D† D and decided by SVD only when
-the certificate cannot, then the Hermitian and PSD tests on G), eigendecomposes
-G once, splits its spectrum at the data-scale cutoff, and derives the
-extendibility witness from that split.  The embedding J is formed on first
-read, for the constructions that use it.
+single pass of :func:`gram_spectrum` eigendecomposes G once for the
+Hermitian and PSD tests, reads the full column rank of D off that spectrum
+when its smallest eigenvalue clears the data scale (rank G <= rank D), and
+only otherwise tests the rank of D, by one Cholesky of D† D and by SVD when
+that certificate cannot decide.  It then splits the spectrum at the
+data-scale cutoff, with the sigma_max brackets the read-off used, and
+derives the extendibility witness from that split.  The embedding J is
+formed on first read, for the constructions that use it.
 """
 
 from __future__ import annotations
@@ -116,28 +118,32 @@ class ExtendibilityReport:
 
 
 def _validated(
-    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool = False
-) -> tuple[ValidationReport, nc.HermitianEigen | None]:
-    """The one validation pass, plus what it computed along the way.
-
-    Returns the report and the eigendecomposition of G whose eigenvalues
-    the PSD test read (None when G is not Hermitian).  With ``rank_decided``
-    an earlier pass accepted D, and its rank is not tested again.
-    """
+    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool = False, basis_bracket=None
+) -> tuple[ValidationReport, nc.HermitianEigen | None, tuple]:
+    """The one validation pass, plus what it computed along the way: the eigh
+    of G that the PSD test read (None when G is not Hermitian) and the
+    sigma_max brackets of D (``basis_bracket`` when given) and Ad.  With
+    ``rank_decided`` an earlier pass accepted D; otherwise ``full_column_rank``
+    runs only when ``numcore._gram_certifies_rank`` cannot read it off G."""
     failures = []
     g = p.gram()
-    if not (rank_decided or nc.full_column_rank(p.domain_basis, cfg)):
-        failures.append("rank_deficient_domain")
+    d_bracket = nc._sigma_max_bracket(p.domain_basis) if basis_bracket is None else basis_bracket
+    brackets = d_bracket, nc._sigma_max_bracket(p.action)
     try:
         eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
     except NotHermitian:
         eig = None
+    decided = rank_decided or (
+        eig is not None and nc._gram_certifies_rank(eig.eigenvalues, p.n, brackets, cfg)
+    )
+    if not (decided or nc.full_column_rank(p.domain_basis, cfg)):
+        failures.append("rank_deficient_domain")
+    if eig is None:
         failures.append("non_hermitian_gram")
-    else:
-        if not nc.spectrum_is_psd(eig.eigenvalues, cfg):
-            failures.append("non_psd_gram")
+    elif not nc.spectrum_is_psd(eig.eigenvalues, cfg):
+        failures.append("non_psd_gram")
     report = ValidationReport(ok=not failures, failures=tuple(failures), gram=g)
-    return report, eig
+    return report, eig, brackets
 
 
 def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> ValidationReport:
@@ -219,11 +225,13 @@ def gram_spectrum(
     return _spectrum(p, cfg, False)
 
 
-def _spectrum(p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool) -> GramSpectrum:
-    """:func:`gram_spectrum`; see :func:`_validated` for ``rank_decided``."""
-    report, eig = _validated(p, cfg, rank_decided)
+def _spectrum(
+    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool, basis_bracket=None
+) -> GramSpectrum:
+    """:func:`gram_spectrum`; see :func:`_validated` for the other arguments."""
+    report, eig, brackets = _validated(p, cfg, rank_decided, basis_bracket)
     report.raise_if_invalid()
-    keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action)
+    keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action, brackets=brackets)
     lam, u, kernel = nc._split(eig, keep)
     witness = nc._kernel_witness(p.action, kernel, cfg)
     return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, witness)

@@ -348,6 +348,11 @@ class _Problem:
         report.raise_if_invalid()
         return cls(algebra, ideal, cfg, report.left_mult)
 
+    @cached_property
+    def basis_bracket(self):
+        """The sigma_max bracket of the ideal basis, shared by every record."""
+        return nc._sigma_max_bracket(self.ideal.basis)
+
     def record(self, f) -> _Functional:
         """The functional's record, holding its own copy of the values.
         Validation decided the rank of the ideal basis (the whole-algebra
@@ -358,7 +363,7 @@ class _Problem:
         key = w.tobytes()
         if key not in self.records:
             op = PartialOperator(self.ideal.basis, self.algebra.invol @ (w @ self.left))
-            spec = _spectrum(op, self.cfg, rank_decided=True)
+            spec = _spectrum(op, self.cfg, rank_decided=True, basis_bracket=self.basis_bracket)
             self.records[key] = _Functional(w.copy(), spec, self.left)
         return self.records[key]
 

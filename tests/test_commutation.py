@@ -163,6 +163,29 @@ def test_factored_residuals_match_the_explicit_ones_where_the_conclusion_fails(m
     assert 0 < sum(verdicts) < len(verdicts)
 
 
+def test_the_one_residual_is_both_explicit_residuals(monkeypatch):
+    # a_n is self-adjoint, so ||C† a_n - a_n B||_F = ||B† a_n - a_n C||_F for
+    # any B and C; with the hypothesis step switched off they need not intertwine
+    monkeypatch.setattr(commutation, "_hypothesis_status", lambda *args: None)
+    rng = rng_for(1009)
+    for _ in range(60):
+        n = int(rng.integers(2, 9))
+        p = random_partial(rng, n=n, force="extendible")
+        b, c = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in "bc")
+        report = verify_commutation(p, b, c)
+        assert report.residual_cb == report.residual_bc
+        a_n = krein_von_neumann(p).a_n
+        for explicit in (nc.fro(c.conj().T @ a_n - a_n @ b), nc.fro(b.conj().T @ a_n - a_n @ c)):
+            assert abs(report.residual_cb - explicit) <= 1e-10 * explicit, (report.residual_cb, explicit)
+
+
+def test_a_failed_hypothesis_raises_before_the_residual(monkeypatch):
+    monkeypatch.setattr(commutation, "_extendible", lambda spec: pytest.fail("residual computed"))
+    p = PartialOperator(E1, E1.copy())
+    with pytest.raises(HypothesesFail, match=r"C† A = A B fails"):
+        verify_commutation(p, [[0, 1], [0, 0]], [[0, 1], [0, 0]])
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the products overflow
 def test_a_minimal_extension_that_overflows_raises_result_out_of_range():
     # G = 1e-151 against Ad = 1e150: a_n and j† j are about 1e451

@@ -64,11 +64,21 @@ def test_bound_too_small_carries_certificate():
 def test_a_bound_too_small_factors_its_gap_once(lapack_calls):
     with pytest.raises(BoundTooSmall, match=r"violation -1\.000e\+00 along"):
         a_max(RUN2, np.eye(2))
-    # the rank certificate of D, then the two certificates of the gap: the
-    # refuting one decides, and one eigh of the gap gives the message and
-    # the direction (the other eigh is the Gram's)
+    # the Gram's spectrum decides the rank of D, then the two certificates of
+    # the gap: the refuting one decides, and one eigh of the gap gives the
+    # message and the direction (the other eigh is the Gram's)
     counts = tuple(lapack_calls[k] for k in ("cholesky", "eigvalsh", "eigh"))
-    assert counts == (3, 0, 2)
+    assert counts == (2, 0, 2)
+
+
+def test_a_non_hermitian_candidate_is_rejected_before_any_factorization(lapack_calls):
+    skew = [[1.0, 1.0], [0.0, 1.5]]
+    with pytest.raises(NotHermitian, match="candidate"):
+        in_interval(RUN2, 3 * np.eye(2), skew)
+    assert (lapack_calls["eigh"], lapack_calls["cholesky"]) == (0, 0)
+    # the candidate is tested first, so it is named when the bound is bad too
+    with pytest.raises(NotHermitian, match="candidate"):
+        in_interval(RUN2, [[3.0, 1.0], [0.0, 3.0]], skew)
 
 
 def test_marginal_bound_accepted_with_warning():
@@ -164,6 +174,17 @@ def test_halmos_rank_deficient_rejection():
     assert not report.completable
     assert not report.bounded
     assert not report.range_condition
+
+
+def test_halmos_column_basis_is_not_rank_tested(monkeypatch):
+    # D = [I; 0] has orthonormal columns by construction, singular A11 or not
+    rank_tests = []
+    for name in ("full_column_rank", "_gram_certifies_rank"):
+        test = getattr(nc, name)
+        monkeypatch.setattr(nc, name, lambda *a, test=test: rank_tests.append(1) or test(*a))
+    for a11 in (np.eye(3), np.diag([1.0, 0.5, 0.0])):
+        halmos_complete(a11, np.ones((2, 3)))
+    assert rank_tests == []
 
 
 @pytest.mark.parametrize("lam, solvable", [(5e-11, False), (2e-10, True)])

@@ -51,24 +51,26 @@ def test_each_construction_factors_the_gram_once(lapack_calls, monkeypatch):
     lapack_calls.clear()
     krein_von_neumann(p)
     # D is well conditioned and no Gram eigenvalue is near the cutoff, so the
-    # rank certificate and the sigma_max brackets decide without an SVD
+    # Gram's spectrum decides the rank of D and the sigma_max brackets the
+    # cutoff, without a Cholesky or an SVD
     counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "norm2", "cholesky"))
-    assert counts == (1, 1, 0, 0, 1)
+    assert counts == (1, 1, 0, 0, 0)
 
-    # one eigh of G per operator (A, then B D - Ad); Cholesky certificates
-    # decide the rank of D once, B - a_n >= 0, and both Loewner tests
-    # a_n <= T <= a_max, so no eigvalsh runs
+    # one eigh of G per operator (A, then B D - Ad), whose spectrum decides
+    # the rank of D; Cholesky certificates decide B - a_n >= 0 and both
+    # Loewner tests a_n <= T <= a_max, so no eigvalsh runs
     lapack_calls.clear()
     assert in_interval(p, bound, t)
     counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "cholesky"))
-    assert counts == (2, 0, 0, 4)
+    assert counts == (2, 0, 0, 3)
 
     rank_tests = []
-    full_column_rank = nc.full_column_rank
-    monkeypatch.setattr(nc, "full_column_rank", lambda *a: rank_tests.append(1) or full_column_rank(*a))
+    for name in ("full_column_rank", "_gram_certifies_rank"):
+        test = getattr(nc, name)
+        monkeypatch.setattr(nc, name, lambda *a, test=test: rank_tests.append(1) or test(*a))
     lapack_calls.clear()
     a_max(p, bound)
-    assert tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "cholesky")) == (2, 0, 2)
+    assert tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "cholesky")) == (2, 0, 1)
     # the shifted operator has the same D, whose rank verdict is reused
     assert len(rank_tests) == 1
 
@@ -175,9 +177,9 @@ def test_bounded_extend_computes_the_interval_once(lapack_calls, tmp_path):
 def test_kernel_command_tests_positivity_once(lapack_calls, tmp_path):
     argv = ["kernel", str(FIXTURES / "kernel_m2_ones.json"), "--out", str(tmp_path / "r.json")]
     assert cli.main(argv) == 0
-    # the rank certificate of D, then the report's positive_definite, which
-    # a Cholesky certificate decides; a_n is PSD by construction
-    assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (0, 2)
+    # the Gram's spectrum decides the rank of D, then a Cholesky certificate
+    # the report's positive_definite; a_n is PSD by construction
+    assert (lapack_calls["eigvalsh"], lapack_calls["cholesky"]) == (0, 1)
 
 
 def test_schwarz_command_factors_each_operator_once(lapack_calls, tmp_path):

@@ -53,8 +53,9 @@ def test_the_hermitian_part_has_one_home():
 
 def test_the_tolerance_rule_has_one_home():
     """No module but ``numcore`` multiplies a tolerance into a threshold:
-    every tol * (1 + scale) test goes through ``numcore._within``."""
-    tolerances = {"tol", "cmp_tol", "psd_tol"}
+    every tol * (1 + scale) test goes through ``numcore._within``, and every
+    rank cutoff lives in numcore."""
+    tolerances = {"tol", "cmp_tol", "psd_tol", "rank_rel_eps"}
 
     def is_tolerance(node: ast.expr) -> bool:
         if isinstance(node, ast.UnaryOp):

@@ -1,9 +1,12 @@
-"""The Cholesky rank certificate and the sigma_max brackets against the SVD rule.
+"""The rank read-off, the Cholesky rank certificate and the sigma_max brackets
+against the SVD rule.
 
+Validation reads the rank of D off the Gram spectrum when it can,
 ``full_column_rank`` and the data-scale cutoff decide without an SVD when a
-certificate can, and fall back to the SVD otherwise.  The reference below is
-the SVD rule itself, applied to every decision; on instances planted next to
-each cutoff, and with D and Ad scaled far apart, both give the same bits.
+certificate can, and each falls back to the SVD otherwise.  The reference
+below is the SVD rule itself, applied to every decision; on instances planted
+next to each cutoff, and with D and Ad scaled far apart, both give the same
+bits.
 """
 
 import math
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvnext import PartialOperator, halmos_complete, is_extendible, krein_von_neumann
+from kvnext import PartialOperator, halmos_complete, is_extendible, krein_von_neumann, validate
 from kvnext import numcore as nc
 from util_gen import orthonormal_columns, random_unitary, rng_for
 
@@ -31,7 +34,8 @@ def svd_sigma_max(m):
     return float(np.max(np.linalg.svd(m, compute_uv=False), initial=0.0))
 
 
-def svd_above_data_cut(ev, cfg, *mats):
+def svd_above_data_cut(ev, cfg, *mats, brackets=None):
+    # the caller's sigma_max brackets are ignored: every cut is the SVD's
     top = float(np.max(ev, initial=0.0))
     scale = 1.0
     for m in mats:
@@ -204,3 +208,65 @@ def test_squares_out_of_range_leave_the_decision_to_the_svd():
     ad = np.array([[mu], [1.0]], dtype=complex)
     assert outcomes(dm, ad) == by_svd_rule(outcomes, dm, ad)
     assert krein_von_neumann(PartialOperator(dm, ad)).factorization.r == 1
+
+
+def read_off_instance(seed, n, d, ratio, k):
+    """D = U diag(1, .., 1, ratio) V† and Ad = D T, T = V diag(t) V† with t in
+    [1, 2]: G = V diag(s^2 t) V† is Hermitian and PSD, and both brackets are
+    tight.  Both are scaled by 2^k."""
+    rng = rng_for(seed)
+    u, v = orthonormal_columns(rng, n, d), random_unitary(rng, d)
+    s = np.ones(d)
+    s[-1] = ratio
+    t = rng.uniform(1.0, 2.0, d)
+    dm = (u * s) @ v.conj().T
+    return scaled(dm, k), scaled((u * (s * t)) @ v.conj().T, k), t[-1]
+
+
+def read_off_accepts(dm, ad, cfg):
+    eig = nc.hermitian_eigen(dm.conj().T @ ad, cfg)
+    brackets = nc._sigma_max_bracket(dm), nc._sigma_max_bracket(ad)
+    return nc._gram_certifies_rank(eig.eigenvalues, dm.shape[0], brackets, cfg)
+
+
+@pytest.mark.parametrize("cfg", [nc.DEFAULT_TOL, nc.STRICT_TOL], ids=["default", "strict"])
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_the_rank_read_off_accepts_only_what_the_svd_rule_accepts(cfg, k):
+    accepted = []
+    for seed, (n, d) in enumerate([(3, 2), (6, 3), (8, 4), (12, 6), (9, 9)]):
+        # w_min = ratio^2 t_d; plant it at `factor` times the read-off's
+        # threshold, whose scale ||D||_F ||Ad||_F ratio barely moves
+        dm, ad, t_d = read_off_instance(seed, n, d, 0.0, 0)
+        cut = 2.0 * cfg.rank_rel_eps + 128.0 * (n + d + 1) * np.finfo(float).eps / 2
+        scale = np.linalg.norm(dm) * np.linalg.norm(ad)
+        near = [math.sqrt(f * cut * scale / t_d) for f in (0.25, 0.5, 2.0, 4.0)]
+        for ratio in [*np.geomspace(1e-13, 1.0, 27), *near]:
+            dm, ad, _ = read_off_instance(seed, n, d, ratio, k)
+            by_svd = svd_full_column_rank(dm, cfg)
+            accepts = read_off_accepts(dm, ad, cfg)
+            assert by_svd or not accepts, (n, d, ratio)
+            if ratio in near:
+                assert accepts == (near.index(ratio) >= 2), (n, d, ratio)
+            # the verdict of validation is the SVD rule's
+            failures = validate(PartialOperator(dm, ad), cfg).failures
+            assert failures == (() if by_svd else ("rank_deficient_domain",))
+            accepted.append(accepts)
+    assert any(accepted) and not all(accepted)
+
+
+@pytest.mark.parametrize("deficient", [False, True])
+@pytest.mark.parametrize("gram", ["psd", "non_hermitian", "non_psd"])
+def test_validation_lists_its_failures_rank_first(deficient, gram):
+    # G = D† T D with D = [e1, e2, e3], or [e1, e2, e1] when rank deficient
+    dm = np.eye(4, 3, dtype=complex)
+    if deficient:
+        dm[:, 2] = dm[:, 0]
+    t = {
+        "psd": np.diag([1.0, 2.0, 3.0, 4.0]),
+        "non_hermitian": np.eye(4) + np.triu(np.ones((4, 4)), 1),
+        "non_psd": np.diag([-1.0, 2.0, 3.0, 4.0]),
+    }[gram]
+    gram_failure = {"psd": (), "non_hermitian": ("non_hermitian_gram",), "non_psd": ("non_psd_gram",)}
+    want = ("rank_deficient_domain",) * deficient + gram_failure[gram]
+    report = validate(PartialOperator(dm, t @ dm))
+    assert (report.ok, report.failures) == (not want, want)
