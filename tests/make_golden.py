@@ -13,6 +13,8 @@ import json
 import pathlib
 import sys
 
+import numpy as np
+
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden"
@@ -28,6 +30,25 @@ def rvec(*values):
 
 def rmat(rows):
     return [[c(v) for v in row] for row in rows]
+
+
+def cmat(m):
+    return [[c(v.real, v.imag) for v in row] for row in m]
+
+
+def restriction(n, d):
+    """(T, D, T D) on C^n: T = M M† positive, D with d columns.  The entries
+    are small Gaussian integers, so every product is exact."""
+    i, j = np.indices((n, n))
+    m = ((3 * i + 2 * j) % 5 - 2) + 1j * ((i * j + 1) % 3 - 1)
+    t = m @ m.conj().T
+    basis = np.eye(n, d) + 1j * ((i + 2 * j) % 4 == 0)[:, :d]
+    return t, basis, t @ basis
+
+
+# reports above the CLI's cutoff for rendering each distinct magnitude once
+T12, D12, AD12 = restriction(12, 6)
+T16, D16, AD16 = restriction(16, 6)
 
 
 M2_MULT = [[rvec(0, 0, 0, 0) for _ in range(4)] for _ in range(4)]
@@ -139,6 +160,19 @@ FIXTURE_SPECS = {
             },
         },
     ),
+    "extend_bounded_n12": (
+        "extend",
+        0,
+        {
+            "kind": "bounded_extension",
+            "seed": 5,
+            "payload": {
+                "partial_operator": {"dim": 12, "domain_basis": cmat(D12), "action": cmat(AD12)},
+                "bound": cmat(T12 + np.eye(12)),
+                "sample_count": 3,
+            },
+        },
+    ),
     "complete_identity": (
         "complete",
         0,
@@ -186,6 +220,19 @@ FIXTURE_SPECS = {
                 "fiber_dim": 1,
                 "domain_basis": rmat([[1, 0], [0, 1]]),
                 "action": rmat([[2, 1], [1, 2]]),
+            },
+        },
+    ),
+    "kernel_m2_fiber8": (
+        "kernel",
+        0,
+        {
+            "kind": "kernel_problem",
+            "payload": {
+                "set_size": 2,
+                "fiber_dim": 8,
+                "domain_basis": cmat(D16),
+                "action": cmat(AD16),
             },
         },
     ),

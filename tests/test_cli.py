@@ -24,11 +24,13 @@ CORPUS = {
     "extend_bounded_3i": ("extend", 0),
     "extend_bounded_degenerate": ("extend", 0),
     "extend_bound_too_small": ("extend", 2),
+    "extend_bounded_n12": ("extend", 0),
     "complete_identity": ("complete", 0),
     "complete_halmos": ("complete", 2),
     "complete_rank_deficient": ("complete", 2),
     "kernel_m2_ones": ("kernel", 0),
     "kernel_full_recovery": ("kernel", 0),
+    "kernel_m2_fiber8": ("kernel", 0),
     "functional_m2": ("functional", 0),
     "functional_m2_fmax": ("functional", 0),
     "functional_not_positive": ("functional", 1),
