@@ -14,7 +14,7 @@ import math
 import os
 import stat
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -34,6 +34,7 @@ SCHEMA_VERSION = "1"
 MAX_DIM = 1024
 MAX_SAMPLES = 1000
 MAX_ITERATIONS = 100_000
+_TABLE_MIN = 128  # numbers from which _render's table pays (crossover 70 to 130)
 
 class CliInputError(Exception):
     pass
@@ -370,14 +371,14 @@ _COMMANDS = {
 }
 
 
-def _grid_text(grid: np.ndarray, indent: int) -> str:
+def _grid_text(grid: np.ndarray, indent: int, texts) -> str:
     """``json.dumps(grid.tolist(), indent=2)`` for a non-empty grid whose
     opening bracket sits on a line indented by ``indent`` spaces.
 
-    The entries are rendered by ``float.__repr__``, as json renders them,
-    and joined once with the separators between them: between two items
-    of the axis ``closed`` places from the last, ``closed`` lists end and
-    as many begin.
+    The entries' texts, the next ``grid.size`` items of the iterator
+    ``texts``, are joined once with the separators between them: between
+    two items of the axis ``closed`` places from the last, ``closed`` lists
+    end and as many begin.
     """
     ndim = grid.ndim
 
@@ -395,22 +396,20 @@ def _grid_text(grid: np.ndarray, indent: int) -> str:
         seps = (seps + [sep]) * (length - 1) + seps
     parts = [""] * (2 * grid.size + 1)
     parts[0] = "[" + "".join(pad(k) + "[" for k in range(1, ndim)) + pad(ndim)
-    parts[1::2] = map(float.__repr__, grid.ravel().tolist())
+    parts[1::2] = islice(texts, grid.size)
     parts[2:-1:2] = seps
     parts[-1] = "".join(pad(k) + "]" for k in range(ndim - 1, -1, -1))
     return "".join(parts)
 
 
-def _emit(value, indent: int, out: list[str]) -> None:
+def _emit(value, indent: int, out: list) -> None:
     """Append to ``out`` the pieces of ``json.dumps(value, sort_keys=True,
     indent=2, allow_nan=False)`` for a value on a line indented by
-    ``indent`` spaces, each array grid as its nested lists.  Raises
-    ValueError for a non-finite number.  The pieces are joined once, so a
-    grid's text (hundreds of kB at n = 48) is not copied at every level."""
+    ``indent`` spaces, each non-empty array grid as the pair (grid, indent)
+    that :func:`_render` writes as its nested lists.  Raises ValueError
+    for a non-finite number outside a grid."""
     if isinstance(value, np.ndarray) and value.size:
-        if not np.isfinite(value).all():
-            raise ValueError("Out of range float values are not JSON compliant")
-        out.append(_grid_text(value, indent))
+        out.append((value, indent))
         return
     if isinstance(value, np.ndarray):
         value = value.tolist()
@@ -434,11 +433,24 @@ def _emit(value, indent: int, out: list[str]) -> None:
 
 def _render(report: dict) -> str:
     """The report's bytes: :func:`_emit`'s pieces and a newline, joined once.
-    Raises ValueError for a non-finite number, before anything is written."""
-    out: list[str] = []
+    The numbers of all grids are rendered together by ``float.__repr__``, as
+    json renders them; from ``_TABLE_MIN`` numbers on, each distinct magnitude
+    once, with "-" before it where the sign bit is set: repr(-x) == "-" +
+    repr(x) for every x >= 0.  Raises ValueError for a non-finite number,
+    before anything is written."""
+    out: list = []
     _emit(report, 0, out)
-    out.append("\n")
-    return "".join(out)
+    values = np.concatenate([np.empty(0)] + [p[0].ravel() for p in out if type(p) is tuple])
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    if values.size < _TABLE_MIN:
+        texts = map(float.__repr__, values.tolist())
+    else:
+        mags, index = np.unique(np.abs(values), return_inverse=True)
+        table = list(map(float.__repr__, mags.tolist()))
+        table = np.array(table + ["-" + t for t in table], dtype=object)
+        texts = iter(table[index + mags.size * np.signbit(values)].tolist())
+    return "".join([p if type(p) is str else _grid_text(*p, texts) for p in out] + ["\n"])
 
 
 def _report(status: str, command: str, result: dict, diagnostics: list[str]) -> dict:

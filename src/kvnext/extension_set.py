@@ -59,10 +59,10 @@ class CompletionReport:
 
 
 def _interval(
-    p: PartialOperator, a_n: np.ndarray, b: np.ndarray, cfg: ToleranceConfig
+    p: PartialOperator, a_n: np.ndarray, b: np.ndarray, cfg: ToleranceConfig, basis_bracket=None
 ) -> IntervalResult:
-    """:func:`a_max` over the minimal extension ``a_n`` of ``p`` that the
-    caller already holds, once ``b`` is shown to be a Hermitian bound above it."""
+    """:func:`a_max` over the minimal extension ``a_n`` of ``p`` (and
+    ``basis_bracket``, D's sigma_max bracket) that the caller holds."""
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     if not nc.is_hermitian(b, cfg):
@@ -88,7 +88,7 @@ def _interval(
     # the spectrum a_n came from accepted D, so the shifted operator on the
     # same D skips the rank test
     shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
-    top = nc._herm(b - _minimal_extension(_spectrum(shifted, cfg, rank_decided=True)))
+    top = nc._herm(b - _minimal_extension(_spectrum(shifted, cfg, True, basis_bracket)))
     return IntervalResult(
         a_n=a_n,
         a_max=top,
@@ -103,7 +103,8 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
     same domain and action ``b @ D - Ad``.
     """
     bm = nc.as_matrix(b, "bound")
-    return _interval(p, _minimal_extension(gram_spectrum(p, cfg)), bm, cfg)
+    spec = gram_spectrum(p, cfg)
+    return _interval(p, _minimal_extension(spec), bm, cfg, spec.basis_bracket)
 
 
 def in_interval(

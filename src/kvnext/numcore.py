@@ -135,15 +135,14 @@ def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     a = as_matrix(m)
     _require_square(a, "matrix")
     with np.errstate(over="ignore"):  # both norms are tested by the rule
-        return _hermitian_within(a, hermitian_residual(a), cfg)
+        return _hermitian_within(a, hermitian_residual(a), fro(a), cfg)
 
 
-def _hermitian_within(a: np.ndarray, residual: float, cfg: ToleranceConfig) -> bool:
+def _hermitian_within(a: np.ndarray, residual: float, scale: float, cfg: ToleranceConfig) -> bool:
     """The Hermitian rule ||a - a†||_F <= cmp_tol (1 + ||a||_F), ``residual``
-    being the left side.  Where the threshold overflows, the same rule is
-    decided on a 2^-e, e the exponent of the largest entry of a: the scaling
-    is exact and no norm of the scaled matrix overflows."""
-    scale = fro(a)
+    and ``scale`` being the two norms.  Where the threshold overflows, the
+    same rule is decided on a 2^-e, e the exponent of the largest entry of
+    a: the scaling is exact and no norm of the scaled matrix overflows."""
     if math.isfinite(scale):
         return _within(residual, scale, cfg.cmp_tol)
     s, e = _pow2_scaled(a.copy())
@@ -183,14 +182,15 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
 
 def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarray | None]:
     """(||a - a†||_F, Hermitian part of ``a``), the part None when
-    :func:`is_hermitian` rejects ``a``; a† is formed once for both."""
+    :func:`is_hermitian` rejects ``a``; a† is formed once for both.  The part
+    is a/2 + a†/2 where ||a||_F >= 2^1023, as only there can a + a† overflow."""
     _require_square(a, "matrix")
     adj = _adjoint(a)
     with np.errstate(over="ignore"):  # both norms are tested by the rule
-        residual = fro(a - adj)
-        if not _hermitian_within(a, residual, cfg):
+        residual, scale = fro(a - adj), fro(a)
+        if not _hermitian_within(a, residual, scale, cfg):
             return residual, None
-    return residual, _herm(a, adj)
+    return residual, _herm(a, adj) if scale < 2.0**1023 else 0.5 * a + 0.5 * adj
 
 
 # Rank certificate.  Let M = fl(m† m), t = tr M and u the unit roundoff.

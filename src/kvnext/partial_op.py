@@ -160,6 +160,7 @@ class GramSpectrum:
     kernel:   eigenvectors of the eigenvalues at or below the cutoff
     witness:  normalized image Ad v of the kernel direction v that Ad
               moves most, when that exceeds cmp_tol; None otherwise
+    basis_bracket: the sigma_max bracket of D that validation used
     j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r), formed
               on first read
     """
@@ -172,6 +173,7 @@ class GramSpectrum:
     u: np.ndarray
     kernel: np.ndarray
     witness: np.ndarray | None
+    basis_bracket: tuple[float, float] | None
 
     @cached_property
     def j(self) -> np.ndarray:
@@ -234,7 +236,7 @@ def _spectrum(
     keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action, brackets=brackets)
     lam, u, kernel = nc._split(eig, keep)
     witness = nc._kernel_witness(p.action, kernel, cfg)
-    return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, witness)
+    return GramSpectrum(p, cfg, report.gram, eig, lam, u, kernel, witness, brackets[0])
 
 
 def is_extendible(

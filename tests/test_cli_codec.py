@@ -83,6 +83,42 @@ def test_emitter_writes_sample_lists_and_diagnostics(samples, diagnostic):
     assert cli._render(report) == reference_text(report)
 
 
+# magnitudes that repeat across a report, the edge ones among them
+POOL = [0.0, 5e-324, 1e-320, 1.7976931348623157e308, 0.1, 1 / 3, 2.5, 1e16, 123456.789]
+pooled = st.sampled_from(POOL).flatmap(lambda x: st.sampled_from([x, -x]))
+
+
+@st.composite
+def pooled_reports(draw):
+    """Reports past the cutoff from which each distinct magnitude is
+    rendered once: h and h† from a small pool with random signs, the
+    Hermitian matrix built from them, one grid under two keys, a sample list."""
+    n = draw(st.integers(6, 9))
+    parts = draw(st.lists(pooled, min_size=2 * n * n, max_size=2 * n * n))
+    h = np.array(parts[: n * n]).reshape(n, n) + 1j * np.array(parts[n * n :]).reshape(n, n)
+    herm = np.triu(h, 1) + np.triu(h, 1).conj().T + np.diag(h.diagonal().real)
+    grid = cli._grid(herm)
+    result = {"a_n": grid, "a_max": grid, "h": cli._grid(h), "h_adj": cli._grid(h.conj().T)}
+    result["samples"] = [cli._grid(herm[: n // 2, : n // 2]), grid]
+    result["norm"] = draw(pooled)
+    return cli._report("ok", "extend", result, [])
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(pooled_reports())
+def test_emitter_renders_repeated_magnitudes_as_json_dumps(report):
+    numbers = sum(g.size for k, g in report["result"].items() if k not in ("samples", "norm"))
+    assert numbers >= cli._TABLE_MIN
+    assert cli._render(report) == reference_text(report)
+
+
+@pytest.mark.parametrize("size", [cli._TABLE_MIN - 1, cli._TABLE_MIN])
+def test_emitter_is_exact_on_both_sides_of_the_cutoff(size):
+    values = np.resize(np.array(POOL + [-x for x in POOL]), size)
+    report = {"a": values.reshape(-1, 1), "b": []}
+    assert cli._render(report) == reference_text(report)
+
+
 def test_emitter_keeps_strings_that_look_like_placeholders():
     grid = cli._grid(np.array([[1.0 - 0.5j]]))
     report = {"\x00": grid, "a": ["\x00", grid, "\x00\x00", {"\x00": "\x00"}], "z": -0.0}

@@ -23,6 +23,7 @@ from kvnext import (
     schwarz_gap,
     verify_commutation,
 )
+from kvnext import extension_set
 from kvnext import numcore as nc
 from kvnext.errors import InvalidOperator, NonPsdGram, NotExtendible, NotPsd
 from util_gen import (
@@ -73,6 +74,26 @@ def test_each_construction_factors_the_gram_once(lapack_calls, monkeypatch):
     assert tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "cholesky")) == (2, 0, 1)
     # the shifted operator has the same D, whose rank verdict is reused
     assert len(rank_tests) == 1
+
+
+def test_a_max_brackets_d_once(monkeypatch):
+    rng = rng_for(2024)
+    t = random_psd(rng, 8)
+    basis = orthonormal_columns(rng, 8, 4)
+    p = PartialOperator(basis, t @ basis)
+    bound = t + np.eye(8)
+    plain = extension_set._interval(p, krein_von_neumann(p).a_n, bound, nc.DEFAULT_TOL)
+
+    bracketed = []
+    bracket = nc._sigma_max_bracket
+    monkeypatch.setattr(nc, "_sigma_max_bracket", lambda x: bracketed.append(x) or bracket(x))
+    # D, Ad and the shifted action B D - Ad: the shifted operator reuses D's
+    top = a_max(p, bound).a_max
+    assert len(bracketed) == 3
+    assert top.tobytes() == plain.a_max.tobytes()
+    bracketed.clear()
+    assert in_interval(p, bound, t)
+    assert len(bracketed) == 3
 
 
 def test_a_candidate_outside_the_interval_is_refuted_without_eigvalsh(lapack_calls):

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvnext import numcore as nc
-from kvnext.errors import NotHermitian, NotPsd, NotSquare, ShapeMismatch
+from kvnext import schwarz_gap
+from kvnext.errors import NotHermitian, NotPsd, NotSquare, ResultOutOfRange, ShapeMismatch
 from util_gen import random_hermitian, random_psd, random_unitary, rng_for
 
 CFG = nc.DEFAULT_TOL
@@ -212,3 +213,26 @@ def test_hermitian_rule_holds_where_the_norm_overflows(p):
         near = herm.copy()
         near[0, 1] += leak * 2.0**p
         assert nc.is_hermitian(near, tol) is ok
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
+def test_hermitian_part_of_entries_near_the_float_limit_does_not_overflow():
+    # a + a† overflows from entries of about 8.99e307 on
+    big = 1e308 * np.eye(2)
+    assert nc.is_psd(big, CFG)
+    assert nc.psd_sqrt(big, CFG) == pytest.approx(1e154 * np.eye(2), rel=1e-15)
+    with pytest.raises(ResultOutOfRange):  # ||A x||^2 = 2e616 is past the float range
+        schwarz_gap([big], [(1, 1)])
+    # where ||a||_F >= 2^1023 the part is a/2 + a†/2: the bits of the plain
+    # formula on a 2^-8, times 2^8, and exactly Hermitian
+    rng = rng_for(97)
+    h = random_hermitian(rng, 6)
+    for a in (h + 1e-11j * rng.standard_normal((6, 6)), h):
+        huge = a / np.max(np.abs(a)) * 1.7e308
+        part = nc._checked_herm(huge, CFG)[1]
+        assert part.tobytes() == (nc._herm(huge * 2.0**-8) * 2.0**8).tobytes()
+        assert np.array_equal(part, part.conj().T)
+        # below 2^1023 the part is the plain formula's, bit for bit
+        below = huge * 2.0**-8
+        assert nc.fro(below * 2.0**-512) < 2.0**511
+        assert nc._checked_herm(below, CFG)[1].tobytes() == nc._herm(below).tobytes()
