@@ -51,18 +51,24 @@ T12, D12, AD12 = restriction(12, 6)
 T16, D16, AD16 = restriction(16, 6)
 
 
-M2_MULT = [[rvec(0, 0, 0, 0) for _ in range(4)] for _ in range(4)]
-_UNITS = [(0, 0), (0, 1), (1, 0), (1, 1)]
-for i, (a, b) in enumerate(_UNITS):
-    for j, (cc, d) in enumerate(_UNITS):
-        if b == cc:
-            vec = [0.0, 0.0, 0.0, 0.0]
-            vec[_UNITS.index((a, d))] = 1.0
-            M2_MULT[i][j] = rvec(*vec)
+def matrix_units(k):
+    """M_k in the matrix-unit basis E_ab (index a k + b): structure tensor,
+    involution, unit and the first-column ideal span{E_a0}."""
+    m = k * k
+    mult = np.zeros((m, m, m))
+    for a, b, d in np.ndindex(k, k, k):
+        mult[a * k + b, b * k + d, a * k + d] = 1.0
+    invol = np.eye(m)[[b * k + a for a, b in np.ndindex(k, k)]]
+    ideal = np.eye(m)[:, ::k]
+    return [rmat(t) for t in mult], rmat(invol), rvec(*np.eye(k).ravel()), rmat(ideal)
 
-M2_INVOL = rmat([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
-M2_UNIT = rvec(1, 0, 0, 1)
-M2_IDEAL = rmat([[1, 0], [0, 0], [0, 1], [0, 0]])
+
+M2_MULT, M2_INVOL, M2_UNIT, M2_IDEAL = matrix_units(2)
+M3_MULT, M3_INVOL, M3_UNIT, M3_IDEAL = matrix_units(3)
+# trace states tr(RHO x) and tr((RHO + SIGMA) x) of positive definite
+# Gaussian-integer densities: f is the first on the ideal, g the second
+RHO = np.array([[2, 1 - 1j, 0], [1 + 1j, 3, 1j], [0, -1j, 2]])
+SIGMA = np.array([[1, 0, 1j], [0, 1, 0], [-1j, 0, 2]])
 
 RUN2 = {
     "dim": 2,
@@ -267,6 +273,23 @@ FIXTURE_SPECS = {
             },
         },
     ),
+    "functional_m3_fmax": (
+        "functional",
+        0,
+        {
+            "kind": "star_algebra_problem",
+            "payload": {
+                "dim": 9,
+                "mult": M3_MULT,
+                "invol": M3_INVOL,
+                "unit": M3_UNIT,
+                "ideal_basis": M3_IDEAL,
+                # E_a0 -> tr(RHO E_a0) = RHO[0, a]; E_ab -> (RHO + SIGMA)[b, a]
+                "functional": cmat([RHO[0]])[0],
+                "bound_functional": cmat([(RHO + SIGMA).T.ravel()])[0],
+            },
+        },
+    ),
     "functional_not_positive": (
         "functional",
         1,
@@ -329,17 +352,22 @@ FIXTURE_SPECS = {
 }
 
 
+def fixture_text(name: str) -> str:
+    """The fixture file of a spec, as written to ``fixtures/<name>.json``."""
+    doc = {"schema_version": "1"}
+    doc.update(FIXTURE_SPECS[name][2])
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
 def main() -> int:
     sys.path.insert(0, str(HERE.parent / "src"))
     from kvnext import cli
 
     FIXTURES.mkdir(exist_ok=True)
     GOLDEN.mkdir(exist_ok=True)
-    for name, (command, expected_exit, body) in FIXTURE_SPECS.items():
-        doc = {"schema_version": "1"}
-        doc.update(body)
+    for name, (command, expected_exit, _) in FIXTURE_SPECS.items():
         fixture_path = FIXTURES / f"{name}.json"
-        fixture_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fixture_path.write_text(fixture_text(name))
         golden_path = GOLDEN / f"{name}.report.json"
         code = cli.main([command, str(fixture_path), "--out", str(golden_path)])
         if code != expected_exit:

@@ -8,36 +8,14 @@ import numpy as np
 import pytest
 
 from kvnext import cli
+from make_golden import FIXTURE_SPECS, fixture_text
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
 GOLDEN = HERE / "golden"
 
 # fixture name -> (command, expected exit code)
-CORPUS = {
-    "check_halmos": ("check", 2),
-    "check_empty_domain": ("check", 0),
-    "check_running2": ("check", 0),
-    "check_invalid_gram": ("check", 1),
-    "extend_running2": ("extend", 0),
-    "extend_identity": ("extend", 0),
-    "extend_bounded_3i": ("extend", 0),
-    "extend_bounded_degenerate": ("extend", 0),
-    "extend_bound_too_small": ("extend", 2),
-    "extend_bounded_n12": ("extend", 0),
-    "complete_identity": ("complete", 0),
-    "complete_halmos": ("complete", 2),
-    "complete_rank_deficient": ("complete", 2),
-    "kernel_m2_ones": ("kernel", 0),
-    "kernel_full_recovery": ("kernel", 0),
-    "kernel_m2_fiber8": ("kernel", 0),
-    "functional_m2": ("functional", 0),
-    "functional_m2_fmax": ("functional", 0),
-    "functional_not_positive": ("functional", 1),
-    "commutation_diag": ("commutation", 0),
-    "commutation_not_invariant": ("commutation", 2),
-    "schwarz_diag": ("schwarz", 0),
-}
+CORPUS = {name: (command, code) for name, (command, code, _) in FIXTURE_SPECS.items()}
 
 
 def run(name: str, out_path: pathlib.Path, extra=()) -> int:
@@ -58,6 +36,13 @@ def test_golden_corpus_byte_identical(name, tmp_path):
     out2 = tmp_path / "report2.json"
     run(name, out2)
     assert out2.read_bytes() == golden
+
+
+def test_every_fixture_is_its_spec_and_has_a_golden():
+    for name in FIXTURE_SPECS:
+        assert (FIXTURES / f"{name}.json").read_text() == fixture_text(name), name
+        assert (GOLDEN / f"{name}.report.json").is_file(), name
+    assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_SPECS)
 
 
 def _matrix(obj) -> np.ndarray:
