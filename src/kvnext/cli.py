@@ -231,14 +231,15 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
     else:
         op = _partial_operator_in(payload, "payload")
         bound = None
-    res = kvn_mod.krein_von_neumann(op, cfg)
+    spec = partial_op.gram_spectrum(op, cfg)
+    res = kvn_mod._kvn(spec)
     result = {
         "a_n": _grid(res.a_n),
         "norm": res.norm,
         "rank": res.factorization.r,
     }
     if bound is not None:
-        interval = extension_set._interval(op, res.a_n, bound, cfg)
+        interval = extension_set._interval(op, res.a_n, bound, cfg, spec.basis_bracket)
         result["a_max"] = _grid(interval.a_max)
         result["degenerate"] = interval.degenerate
         count = payload.get("sample_count")

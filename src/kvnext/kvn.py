@@ -82,7 +82,11 @@ def krein_von_neumann(
     and agrees with it within tolerance.  Every positive extension of the
     operator dominates a_n in the Loewner order.
     """
-    spec = gram_spectrum(p, cfg)
+    return _kvn(gram_spectrum(p, cfg))
+
+
+def _kvn(spec: GramSpectrum) -> KvnResult:
+    """The result read off a spectrum the caller already holds."""
     return KvnResult(
         a_n=_minimal_extension(spec),
         factorization=HAFactorization(r=spec.r, j_matrix=spec.j),

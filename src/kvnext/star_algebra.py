@@ -24,10 +24,14 @@ Everything runs on the regular representation.  One validation of the
 algebra and ideal rank-tests the ideal basis, the only rank test, and
 solves once for the ideal coordinates of every product b_i a_l; the
 resulting stack L[i] of ideal-coordinate matrices of a -> b_i a yields
-the induced action, the admissibility constants and pi.  Each functional
-is decided once per problem: its Gram form is factored once, and its
-Hilbert bound, admissibility, GNS data and f_N are computed on first read,
-and returned as they are; the CLI reads one record per request.
+the induced action, the admissibility forms L_i† G L_i and pi.  Each
+functional is decided once per problem: its Gram form is factored once,
+and its Hilbert bound, admissibility, GNS data and f_N are computed on
+first read, and returned as they are; the CLI reads one record per
+request.  The representability test and the GNS build read the Hilbert
+bound and the admissibility verdict, a kernel condition that needs the
+forms only when G has a kernel; the constants lambda_x are formed only
+where a report prints them or a NotAdmissible carries them.
 """
 
 from __future__ import annotations
@@ -270,39 +274,49 @@ class _Functional:
         return HilbertBoundReport(bounded=math.isfinite(constant), constant=constant)
 
     @cached_property
-    def admissibility(self) -> AdmissibilityReport:
-        """lambda_i from the forms L_i† G L_i, one batched eigensolve.
+    def _forms(self) -> np.ndarray:
+        """The Hermitian forms L_i† G L_i; ResultOutOfRange when they overflow."""
+        left = self.left
+        with np.errstate(over="ignore", invalid="ignore"):
+            gx = nc._herm(left.conj().transpose(0, 2, 1) @ self.spec.gram @ left)
+        return nc._finite(gx, "admissibility forms L_i† G L_i")
 
-        The top eigenvalues of those forms are needed, in a second
-        eigensolve, only to test the kernel of G when it has one.
-        """
-        spec, left = self.spec, self.left
-        gx = left.conj().transpose(0, 2, 1) @ spec.gram @ left
-        gx = nc._herm(gx)
-        ok = np.ones(left.shape[0], dtype=bool)
-        kernel = spec.kernel
-        if kernel.shape[1]:
-            top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
-            leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
-            ok = np.all(
-                nc._within(np.sqrt(np.maximum(leak, 0.0)), np.sqrt(top)[:, None], spec.cfg.cmp_tol),
-                axis=1,
-            )
-        lambdas = np.zeros(left.shape[0])
+    @cached_property
+    def _descends(self) -> np.ndarray:
+        """Per basis element x: x keeps G's kernel in the kernel of its form,
+        at the scale of the form's top eigenvalue; true when G has no kernel."""
+        kernel = self.spec.kernel
+        if not kernel.shape[1]:
+            return np.ones(self.left.shape[0], dtype=bool)
+        gx = self._forms
+        top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
+        leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
+        return np.all(
+            nc._within(np.sqrt(np.maximum(leak, 0.0)), np.sqrt(top)[:, None], self.spec.cfg.cmp_tol),
+            axis=1,
+        )
+
+    @property
+    def admissible(self) -> bool:
+        return bool(np.all(self._descends))
+
+    @cached_property
+    def admissibility(self) -> AdmissibilityReport:
+        """lambda_i from the forms, one batched eigensolve; inf where x does not descend."""
+        spec = self.spec
+        lambdas = np.zeros(self.left.shape[0])
         if spec.r:
             root_inv = spec.u / np.sqrt(spec.lam)
-            w = root_inv.conj().T @ gx @ root_inv
-            ev = np.linalg.eigvalsh(nc._herm(w))
-            lambdas = np.maximum(ev[:, -1], 0.0)
-        lambdas[~ok] = math.inf
-        return AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)
+            w = root_inv.conj().T @ self._forms @ root_inv
+            lambdas = np.maximum(np.linalg.eigvalsh(nc._herm(w))[:, -1], 0.0)
+        lambdas[~self._descends] = math.inf
+        return AdmissibilityReport(admissible=self.admissible, lambdas=lambdas)
 
     def require_admissible(self) -> None:
-        adm = self.admissibility
-        if not adm.admissible:
+        if not self.admissible:
             raise NotAdmissible(
                 "left multiplication does not descend to the auxiliary space",
-                certificate=adm.lambdas,
+                certificate=self.admissibility.lambdas,
             )
 
     @cached_property
@@ -388,7 +402,7 @@ class _Problem:
             rec = self.record(g)
         except (NonPsdGram, NonHermitianGram):
             return False
-        return rec.hilbert.bounded and rec.admissibility.admissible
+        return rec.hilbert.bounded and rec.admissible
 
     def f_max(self, f, g) -> np.ndarray:
         gv = nc.as_vector(g, "bound functional")

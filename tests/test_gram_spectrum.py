@@ -31,6 +31,7 @@ from util_gen import (
     orthonormal_columns,
     random_partial,
     random_psd,
+    random_unitary,
     random_vector,
     rng_for,
 )
@@ -94,6 +95,18 @@ def test_a_max_brackets_d_once(monkeypatch):
     bracketed.clear()
     assert in_interval(p, bound, t)
     assert len(bracketed) == 3
+
+
+def test_extend_with_a_bound_brackets_d_once(monkeypatch, tmp_path):
+    bracketed = []
+    bracket = nc._sigma_max_bracket
+    monkeypatch.setattr(nc, "_sigma_max_bracket", lambda x: bracketed.append(x) or bracket(x))
+    out = tmp_path / "r.json"
+    argv = ["extend", str(FIXTURES / "extend_bounded_n12.json"), "--out", str(out)]
+    assert cli.main(argv) == 0
+    # D, Ad and the shifted action B D - Ad, as in a_max
+    assert len(bracketed) == 3
+    assert out.read_bytes() == (FIXTURES.parent / "golden" / "extend_bounded_n12.report.json").read_bytes()
 
 
 def test_a_candidate_outside_the_interval_is_refuted_without_eigvalsh(lapack_calls):
@@ -236,6 +249,39 @@ def test_domain_basis_change_leaves_a_n_and_verdict(seed, force):
         a_p = krein_von_neumann(p).a_n
         a_q = krein_von_neumann(q).a_n
         assert nc.fro(a_q - a_p) <= nc.DEFAULT_TOL.cmp_tol * (1.0 + nc.fro(a_p))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["extendible", "violating"]))
+def test_unitary_change_of_space_conjugates_a_n(seed, force):
+    rng = rng_for(seed)
+    p = random_partial(rng, force=force)
+    u = random_unitary(rng, p.n)
+    q = PartialOperator(u @ p.domain_basis, u @ p.action)
+    assert is_extendible(q).extendible == is_extendible(p).extendible == (force == "extendible")
+    if force == "extendible":
+        a_p = krein_von_neumann(p).a_n
+        a_q = krein_von_neumann(q).a_n
+        assert nc.fro(a_q - u @ a_p @ u.conj().T) <= nc.DEFAULT_TOL.cmp_tol * (1.0 + nc.fro(a_p))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_halmos_completion_is_the_extension_of_the_first_block_column(seed):
+    # criterion 6's blocks: A11 PSD of any rank, A21 free or in the range of A11
+    rng = rng_for(seed)
+    k, rows = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+    a11 = random_psd(rng, k, rank=int(rng.integers(0, k + 1)))
+    a21 = rng.standard_normal((rows, k)) + 1j * rng.standard_normal((rows, k))
+    if rng.uniform() < 0.5:
+        a21 = a21 @ a11
+    report = halmos_complete(a11, a21)
+    p = PartialOperator(np.eye(k + rows, k, dtype=complex), np.vstack([a11, a21]))
+    assert is_extendible(p).extendible == report.completable
+    if report.completable:
+        a_n = krein_von_neumann(p).a_n
+        gap = nc.fro(report.a22_min - a_n[k:, k:])
+        assert gap <= nc.DEFAULT_TOL.cmp_tol * (1.0 + nc.fro(a_n))
 
 
 def test_spectrum_of_the_running_example():

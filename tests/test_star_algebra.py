@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import json
 import math
 import pathlib
 
@@ -29,9 +30,11 @@ from kvnext.errors import (
     KvnError,
     NonPsdGram,
     NoUnit,
+    NotAdmissible,
     NotHilbertBounded,
     NotRepresentable,
     RankDeficientDomain,
+    ResultOutOfRange,
     ShapeMismatch,
     UnitFail,
 )
@@ -315,9 +318,10 @@ def test_functional_run_decides_each_functional_once(lapack_calls, monkeypatch, 
     # the rank certificate, and one admissibility eigensolve of full-rank G
     assert calls["cholesky"] == 1 and calls["eigvalsh"] == 1
     calls = run("functional_m2_fmax")
-    # one admissibility per distinct functional, plus the certificate that
-    # g dominates f_N
-    assert calls["cholesky"] <= 2 and calls["eigvalsh"] <= 5 and calls["eigh"] <= 4
+    # f's lambdas for the report, and the kernel tests of the two forms with
+    # a kernel: the shifted functional g|I - f = 0 and g - f_N; the
+    # representability checks form no lambdas
+    assert calls["cholesky"] <= 2 and calls["eigvalsh"] == 3 and calls["eigh"] <= 4
 
 
 def _statement_cases():
@@ -414,6 +418,108 @@ def test_memoized_statements_match_a_fresh_problem_bit_for_bit(case):
         values[...] = np.nan
     # the records: f, and the shifted functional of f_max
     assert len(shared.records) <= 2
+
+
+def _admissibility_in_one_pass(rec):
+    """The report as one computation: the forms, the kernel test, then the
+    lambdas, whatever the verdict."""
+    spec, left = rec.spec, rec.left
+    gx = nc._herm(left.conj().transpose(0, 2, 1) @ spec.gram @ left)
+    ok = np.ones(left.shape[0], dtype=bool)
+    kernel = spec.kernel
+    if kernel.shape[1]:
+        top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
+        leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
+        ok = np.all(
+            nc._within(np.sqrt(np.maximum(leak, 0.0)), np.sqrt(top)[:, None], spec.cfg.cmp_tol),
+            axis=1,
+        )
+    lambdas = np.zeros(left.shape[0])
+    if spec.r:
+        root_inv = spec.u / np.sqrt(spec.lam)
+        ev = np.linalg.eigvalsh(nc._herm(root_inv.conj().T @ gx @ root_inv))
+        lambdas = np.maximum(ev[:, -1], 0.0)
+    lambdas[~ok] = math.inf
+    return star_algebra.AdmissibilityReport(admissible=bool(np.all(ok)), lambdas=lambdas)
+
+
+def _public_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except KvnError as exc:
+        return exc
+
+
+@pytest.mark.parametrize("case", range(len(_statement_cases())))
+def test_verdicts_form_no_lambdas_and_reports_keep_their_bits(case, monkeypatch):
+    algebra, ideal, f, g = _statement_cases()[case]
+    report = _public_outcome(is_admissible, algebra, ideal, f)
+    if not isinstance(report, KvnError):
+        rec = star_algebra._Problem.validated(algebra, ideal, DEFAULT_TOL).record(f)
+        assert _bytes(report) == _bytes(_admissibility_in_one_pass(rec))
+    want = (_public_outcome(is_representable, algebra, g), _public_outcome(f_max, algebra, ideal, f, g))
+
+    def no_lambdas(rec):
+        raise AssertionError("lambda_x formed")
+
+    monkeypatch.setattr(star_algebra._Functional, "admissibility", property(no_lambdas))
+    got = (_public_outcome(is_representable, algebra, g), _public_outcome(f_max, algebra, ideal, f, g))
+    assert [_bytes(x) for x in got] == [_bytes(x) for x in want]
+
+
+def test_a_functional_that_does_not_descend_carries_its_lambdas(monkeypatch):
+    descends = star_algebra._Functional._descends.func
+    # the second basis element E12 no longer descends
+    monkeypatch.setattr(
+        star_algebra._Functional, "_descends", property(lambda rec: descends(rec) & (np.arange(4) != 1))
+    )
+    with pytest.raises(NotAdmissible) as raised:
+        gns(M2, M2_IDEAL, M2_F)
+    lambdas = is_admissible(M2, M2_IDEAL, M2_F).lambdas
+    assert raised.value.certificate.tobytes() == lambdas.tobytes()
+    assert np.isinf(lambdas).tolist() == [False, True, False, False]
+
+
+def scaled_m2(c: float) -> StarAlgebra:
+    """M_2 in the basis c E_ab: structure constants times c, the unit over c."""
+    return StarAlgebra(mult=c * M2.mult, invol=M2.invol, unit=M2.unit / c)
+
+
+def test_overflowing_admissibility_forms_raise_result_out_of_range(tmp_path):
+    # G = 1e200 (g(E_ab* E_cd)) is finite; the forms L_i† G L_i reach 1e400.
+    # Validating the data already overflows on the way (in norms whose
+    # results decide nothing here), so only the forms are read under the
+    # RuntimeWarning error filter.
+    algebra, g = scaled_m2(1e100), 1e100 * TRACE
+    whole = whole_algebra_ideal(algebra)
+    message = "^admissibility forms L_i† G L_i overflows the float range$"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert is_representable(algebra, g)
+        rec = star_algebra._Problem.validated(algebra, whole, DEFAULT_TOL).record(g)
+        assert rec.admissible and rec.hilbert.bounded
+        with pytest.raises(ResultOutOfRange, match=message):
+            is_admissible(algebra, whole, g)
+    with pytest.raises(ResultOutOfRange, match=message):
+        rec.admissibility
+
+    def grid(x):
+        return np.stack([x.real, x.imag], axis=-1).tolist()
+
+    problem = {
+        "schema_version": "1",
+        "kind": "star_algebra_problem",
+        "payload": {
+            "dim": 4, "mult": grid(algebra.mult), "invol": grid(algebra.invol),
+            "unit": grid(algebra.unit), "ideal_basis": grid(whole.basis), "functional": grid(g),
+        },
+    }
+    src, out = tmp_path / "problem.json", tmp_path / "r.json"
+    src.write_text(json.dumps(problem))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert cli.main(["functional", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == ["admissibility forms L_i† G L_i overflows the float range"]
 
 
 def test_ideal_closure_detected():
