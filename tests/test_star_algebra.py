@@ -480,17 +480,15 @@ def test_a_functional_that_does_not_descend_carries_its_lambdas(monkeypatch):
     assert np.isinf(lambdas).tolist() == [False, True, False, False]
 
 
-def scaled_m2(c: float) -> StarAlgebra:
-    """M_2 in the basis c E_ab: structure constants times c, the unit over c."""
-    return StarAlgebra(mult=c * M2.mult, invol=M2.invol, unit=M2.unit / c)
-
-
 def test_overflowing_admissibility_forms_raise_result_out_of_range(tmp_path):
-    # G = 1e200 (g(E_ab* E_cd)) is finite; the forms L_i† G L_i reach 1e400.
-    # Validating the data already overflows on the way (in norms whose
-    # results decide nothing here), so only the forms are read under the
-    # RuntimeWarning error filter.
-    algebra, g = scaled_m2(1e100), 1e100 * TRACE
+    # M_2 in the basis 1e100 E_ab (structure constants times 1e100, the unit
+    # over it) and its trace state times 1e100: G = 1e200 (tr(E_ab* E_cd)) is
+    # finite and the forms L_i† G L_i reach 1e400.  The validation and the
+    # kernel test still take unscaled norms that overflow on such data
+    # (ROADMAP item 4), so only the forms are read under the RuntimeWarning
+    # error filter.
+    algebra = StarAlgebra(mult=1e100 * M2.mult, invol=M2.invol, unit=M2.unit / 1e100)
+    g = 1e100 * TRACE
     whole = whole_algebra_ideal(algebra)
     message = "^admissibility forms L_i† G L_i overflows the float range$"
     with np.errstate(over="ignore", invalid="ignore"):
