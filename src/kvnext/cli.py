@@ -35,6 +35,7 @@ MAX_DIM = 1024
 MAX_SAMPLES = 1000
 MAX_ITERATIONS = 100_000
 _TABLE_MIN = 128  # numbers from which _render's table pays (crossover 70 to 130)
+_encode = json.JSONEncoder(allow_nan=False).encode  # json.dumps(x, allow_nan=False), one encoder
 
 class CliInputError(Exception):
     pass
@@ -415,13 +416,13 @@ def _emit(value, indent: int, out: list) -> None:
     if isinstance(value, np.ndarray):
         value = value.tolist()
     if isinstance(value, dict) and value:
-        items = [(json.dumps(k) + ": ", value[k]) for k in sorted(value)]
+        items = [(_encode(k) + ": ", value[k]) for k in sorted(value)]
         brackets = "{}"
     elif isinstance(value, list) and value:
         items = [("", v) for v in value]
         brackets = "[]"
     else:
-        out.append(json.dumps(value, allow_nan=False))
+        out.append(_encode(value))
         return
     pad = "\n" + " " * indent
     sep = brackets[0]

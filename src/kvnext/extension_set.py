@@ -204,7 +204,7 @@ def halmos_complete(
         coupling = nc._finite(
             nc._herm(s @ (a21m.conj().T @ a21m) @ s), "coupling A11^{+1/2} A21† A21 A11^{+1/2}"
         )
-        bound_constant = float(np.max(np.linalg.eigvalsh(coupling), initial=0.0))
+        bound_constant = float(np.linalg.eigvalsh(coupling).max(initial=0.0))
     else:
         bound_constant = float("inf")
 

@@ -120,4 +120,4 @@ def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Operator norm of the minimal extension, off the PSD matrix a_n: the
     Hilbert bound (``KvnResult.norm``, off j† j) by a path that forms no J."""
     a_n = _minimal_extension(gram_spectrum(p, cfg))
-    return float(np.max(np.linalg.eigvalsh(a_n), initial=0.0))
+    return float(np.linalg.eigvalsh(a_n).max(initial=0.0))

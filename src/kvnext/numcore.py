@@ -71,20 +71,29 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
         a = a.reshape(-1, 1)
     if a.ndim != 2:
         raise ShapeMismatch(f"{name} must be 2-dimensional, got ndim={a.ndim}")
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
 
 
 def as_vector(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128).reshape(-1)
-    if a.size and not np.all(np.isfinite(a)):
+    if a.size and not np.isfinite(a).all():
         raise ShapeMismatch(f"{name} contains non-finite entries")
     return a
 
 
-def fro(m) -> float:
-    return float(np.linalg.norm(m))
+def fro(m: np.ndarray) -> float:
+    """||m||_F as ``np.linalg.norm(m)`` forms it, bit for bit, without its
+    dispatch: the real and imaginary parts' dots (0 for a real array)."""
+    x = m.ravel(order="K")
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _norms(x: np.ndarray, axis: int) -> np.ndarray:
+    """``np.linalg.norm(x, axis=axis)`` bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce((x.conj() * x).real, axis=axis))
 
 
 def _finite(x: np.ndarray, what: str) -> np.ndarray:
@@ -153,7 +162,7 @@ def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
     """(m times 2^-e, in place; e), e the exponent that brings the largest
     entry of m into [1/2, 1): exact, and the square of the result cannot
     overflow."""
-    _, exp = np.frexp(np.max(np.abs(m)))
+    _, exp = np.frexp(np.abs(m).max())
     for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
         np.ldexp(part, -exp, out=part)
     return m, int(exp)
@@ -163,7 +172,7 @@ def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Whether eigenvalues ``w`` pass min w >= -psd_tol * (1 + max|w|)."""
     if w.size == 0:
         return True
-    return _within(-float(np.min(w)), float(np.max(np.abs(w))), cfg.psd_tol)
+    return _within(-float(w.min()), float(np.abs(w).max()), cfg.psd_tol)
 
 
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
@@ -269,8 +278,8 @@ def full_column_rank(m: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     if _cholesky_certifies_rank(m, cfg):
         return True
     sv = np.linalg.svd(m, compute_uv=False)
-    top = float(np.max(sv, initial=0.0))
-    return bool(m.shape[1] <= m.shape[0] and np.all(sv > cfg.rank_rel_eps * top))
+    top = float(sv.max(initial=0.0))
+    return bool(m.shape[1] <= m.shape[0] and (sv > cfg.rank_rel_eps * top).all())
 
 
 # Rank read-off.  Let D and Ad be n x d with d <= n, G = D† Ad, u the unit
@@ -325,12 +334,12 @@ def _sigma_max_bracket(x: np.ndarray) -> tuple[float, float] | None:
     2^-800 for a nonzero ``x``, so that underflow may have lost them.
     """
     with np.errstate(over="ignore", under="ignore"):  # tested just below
-        col = np.linalg.norm(x, axis=0)
+        col = _norms(x, 0)
         ss = float(col @ col)
     if not 2.0**-800 <= ss < math.inf:
         return None if x.any() else (0.0, 0.0)
     fro = math.sqrt(ss)
-    return max(float(np.max(col)), fro / math.sqrt(min(x.shape))), fro
+    return max(float(col.max()), fro / math.sqrt(min(x.shape))), fro
 
 
 def _above_data_cut(
@@ -346,7 +355,7 @@ def _above_data_cut(
     inside it, or a bracket is missing or not finite, is the scale
     computed by SVD.  The mask is the SVD cutoff's either way.
     """
-    top = float(np.max(ev, initial=0.0))
+    top = float(ev.max(initial=0.0))
     eps = cfg.rank_rel_eps
     brackets = brackets or [_sigma_max_bracket(m) for m in mats]
     if None not in brackets:
@@ -374,7 +383,7 @@ def _split(eig: HermitianEigen, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs above rank_rel_eps * max(largest eigenvalue, 0), descending."""
-    top = float(np.max(eig.eigenvalues, initial=0.0))
+    top = float(eig.eigenvalues.max(initial=0.0))
     return _split(eig, eig.eigenvalues > cfg.rank_rel_eps * top)[:2]
 
 
@@ -382,10 +391,10 @@ def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np
     """The normalized image m v of the column v of ``vecs`` that ``m`` moves
     most, when ``||m v||`` fails :func:`_within` at ``||m||_F``; else None."""
     images = m @ vecs
-    norms = np.linalg.norm(images, axis=0)
-    if _within(np.max(norms, initial=0.0), fro(m), cfg.cmp_tol):
+    norms = _norms(images, 0)
+    if _within(norms.max(initial=0.0), fro(m), cfg.cmp_tol):
         return None
-    y = images[:, int(np.argmax(norms))]
+    y = images[:, int(norms.argmax())]
     return y / np.linalg.norm(y)
 
 

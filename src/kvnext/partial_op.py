@@ -196,14 +196,14 @@ class GramSpectrum:
         if self.r == 0:
             return 0.0
         jj = nc._finite(self.j.conj().T @ self.j, "Hilbert bound: j† j")
-        return float(np.max(np.linalg.eigvalsh(jj), initial=0.0))
+        return float(np.linalg.eigvalsh(jj).max(initial=0.0))
 
     def form(self, v) -> float:
         """v† G+ v for domain coefficients v; +inf off ran G, ResultOutOfRange on overflow."""
         coords = nc._span_coords(v, self.u, self.cfg)
         if coords is None:
             return math.inf
-        return float(nc._finite(np.sum(np.abs(coords) ** 2 / self.lam), "quadratic form v† G+ v"))
+        return float(nc._finite((np.abs(coords) ** 2 / self.lam).sum(), "quadratic form v† G+ v"))
 
 
 def gram_spectrum(

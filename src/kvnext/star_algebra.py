@@ -21,17 +21,18 @@ interval [f_N, f_max] with f_max = g - minimal_extension(g - f), in
 exact parallel with the operator picture.
 
 Everything runs on the regular representation.  One validation of the
-algebra and ideal rank-tests the ideal basis, the only rank test, and
-solves once for the ideal coordinates of every product b_i a_l; the
-resulting stack L[i] of ideal-coordinate matrices of a -> b_i a yields
-the induced action, the admissibility forms L_i† G L_i and pi.  Each
-functional is decided once per problem: its Gram form is factored once,
-and its Hilbert bound, admissibility, GNS data and f_N are computed on
-first read, and returned as they are; the CLI reads one record per
-request.  The representability test and the GNS build read the Hilbert
-bound and the admissibility verdict, a kernel condition that needs the
-forms only when G has a kernel; the constants lambda_x are formed only
-where a report prints them or a NotAdmissible carries them.
+algebra and ideal compares the rows of all laws but associativity in one
+call, deciding overflowing norms on exactly rescaled rows, rank-tests the
+ideal basis, the only rank test, and solves once for the ideal coordinates
+of every product b_i a_l: their stack L[i], the matrices of a -> b_i a,
+yields the induced action, the admissibility forms L_i† G L_i and pi.
+Each functional is decided once per problem: its Gram form is factored
+once, its Hilbert bound, admissibility, GNS data and f_N computed on first
+read and returned as they are; the CLI reads one record per request.
+Representability and the GNS build read the Hilbert bound and the
+admissibility verdict, a kernel condition that needs the forms only when G
+has a kernel; lambda_x is formed only where a report prints it or a
+NotAdmissible carries it.
 """
 
 from __future__ import annotations
@@ -177,10 +178,18 @@ class GnsData:
 _ASSOC_BLOCK = 1 << 16
 
 
-def _rows_close(x: np.ndarray, y: np.ndarray, tol: float) -> bool:
-    """||x - y|| within tol at scale ||x|| + ||y|| for every row along the last axis."""
-    norm = np.linalg.norm
-    return bool(np.all(nc._within(norm(x - y, axis=-1), norm(x, axis=-1) + norm(y, axis=-1), tol)))
+def _close(x, y, tol: float, axis=-1, scale_x=True, unit=None) -> np.ndarray:
+    """Per slice along ``axis``: ||x - y|| within tol at scale ||x|| + ||y||, or
+    ||y|| alone unless ``scale_x``.  Where a norm overflows, the rule is decided
+    on each slice times ``unit`` = 2^-e, e the exponent of its largest entry."""
+    with np.errstate(over="ignore"):  # a norm that overflows is decided below
+        resid, scale = nc._norms(x - y, axis), nc._norms(y, axis)
+        scale = nc._norms(x, axis) + scale if scale_x else scale
+    if unit is not None or np.isfinite(resid + scale).all():
+        return nc._within(resid, scale, tol, 1.0 if unit is None else unit.squeeze(axis))
+    big = np.maximum(np.abs(x).max(axis, keepdims=True), np.abs(y).max(axis, keepdims=True))
+    unit = np.ldexp(1.0, -np.frexp(big)[1])
+    return _close(x * unit, y * unit, tol, axis, scale_x, unit)
 
 
 def _associative(mult: np.ndarray, tol: float) -> bool:
@@ -193,7 +202,7 @@ def _associative(mult: np.ndarray, tol: float) -> bool:
         block = mult[lo : lo + step]
         left = (block.reshape(-1, m) @ products).reshape(-1, m)
         right = (pairs @ block).reshape(-1, m)
-        if not _rows_close(left, right, tol):
+        if not _close(left, right, tol).all():
             return False
     return True
 
@@ -203,35 +212,34 @@ def validate_algebra(
 ) -> AlgebraValidation:
     """Check associativity, involution laws, the unit, and ideal closure.
 
-    Each law is one batched contraction compared element by element, ||x - y||
-    by the cmp_tol rule at scale ||x|| + ||y||.  Closure is one least-squares
-    solve for the ideal coordinates of all m p products b_i a_l, each required
-    to reproduce its product by that rule at scale ||b_i a_l||; the solution
-    is the report's ``left_mult``.
+    Each law is one batched contraction compared row by row, ||x - y|| by the
+    cmp_tol rule at scale ||x|| + ||y||: associativity block by block, the other
+    laws in one comparison split back per law.  Closure is one least-squares solve
+    for the ideal coordinates of all m p products b_i a_l, each required to
+    reproduce its product by that rule at scale ||b_i a_l||, giving ``left_mult``.
+    Rows whose norms overflow are decided exactly, times 2^-e.
     """
     m = algebra.m
     if ideal.basis.shape[0] != m:
         raise ShapeMismatch(
             f"ideal basis must have {m} rows, got {ideal.basis.shape[0]}"
         )
-    mult, invol, tol = algebra.mult, algebra.invol, cfg.cmp_tol
+    mult, invol, u, tol = algebra.mult, algebra.invol, algebra.unit, cfg.cmp_tol
     eye = np.eye(m, dtype=np.complex128)
-    failures = []
-    if not _associative(mult, tol):
-        failures.append("associativity")
-    if not _rows_close(np.conj(invol) @ invol, eye, tol):
-        failures.append("involution_not_involutive")
+    failures = [] if _associative(mult, tol) else ["associativity"]
     # (b_i b_j)* against b_j* b_i*, indexed [j, i, :] on both sides
-    star_of_products = (np.conj(mult) @ invol).transpose(1, 0, 2)
-    products_of_stars = (invol @ (invol @ mult).reshape(m, m * m)).reshape(m, m, m)
-    if not _rows_close(star_of_products, products_of_stars, tol):
-        failures.append("involution_not_antimultiplicative")
-    u = algebra.unit
-    if u is not None and not (
-        _rows_close(np.einsum("a,aik->ik", u, mult), eye, tol)
-        and _rows_close(u @ mult, eye, tol)
-    ):
-        failures.append("unit")
+    star_of_products = (np.conj(mult) @ invol).transpose(1, 0, 2).reshape(m * m, m)
+    products_of_stars = (invol @ (invol @ mult).reshape(m, m * m)).reshape(m * m, m)
+    laws = [  # rows of one comparison, split back per law
+        ("involution_not_involutive", np.conj(invol) @ invol, eye),
+        ("involution_not_antimultiplicative", star_of_products, products_of_stars),
+    ]
+    if u is not None:  # u b_i, then b_i u
+        unit_rows = np.concatenate([np.einsum("a,aik->ik", u, mult), u @ mult])
+        laws.append(("unit", unit_rows, np.concatenate([eye, eye])))
+    close = _close(*(np.concatenate([law[k] for law in laws]) for k in (1, 2)), tol)
+    ends = np.cumsum([0] + [len(x) for _, x, _ in laws]).tolist()
+    failures += [law[0] for law, lo, hi in zip(laws, ends, ends[1:]) if not close[lo:hi].all()]
 
     p = ideal.p
     left = np.zeros((m, 0, 0), dtype=np.complex128) if p == 0 else None
@@ -241,8 +249,7 @@ def validate_algebra(
         else:
             products = (mult.transpose(2, 0, 1) @ ideal.basis).reshape(m, m * p)
             coords = np.linalg.lstsq(ideal.basis, products, rcond=None)[0]
-            resid = np.linalg.norm(ideal.basis @ coords - products, axis=0)
-            if np.all(nc._within(resid, np.linalg.norm(products, axis=0), tol)):
+            if _close(ideal.basis @ coords, products, tol, axis=0, scale_x=False).all():
                 left = coords.reshape(p, m, p).transpose(1, 0, 2)
             else:
                 failures.append("ideal_closure")
@@ -290,15 +297,13 @@ class _Functional:
             return np.ones(self.left.shape[0], dtype=bool)
         gx = self._forms
         top = np.maximum(np.linalg.eigvalsh(gx)[:, -1], 0.0)
-        leak = np.real(np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel))
-        return np.all(
-            nc._within(np.sqrt(np.maximum(leak, 0.0)), np.sqrt(top)[:, None], self.spec.cfg.cmp_tol),
-            axis=1,
-        )
+        leak = np.einsum("ak,iab,bk->ik", kernel.conj(), gx, kernel).real
+        root = np.sqrt(np.maximum(leak, 0.0))
+        return nc._within(root, np.sqrt(top)[:, None], self.spec.cfg.cmp_tol).all(axis=1)
 
     @property
     def admissible(self) -> bool:
-        return bool(np.all(self._descends))
+        return bool(self._descends.all())
 
     @cached_property
     def admissibility(self) -> AdmissibilityReport:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -236,3 +238,38 @@ def test_hermitian_part_of_entries_near_the_float_limit_does_not_overflow():
         below = huge * 2.0**-8
         assert nc.fro(below * 2.0**-512) < 2.0**511
         assert nc._checked_herm(below, CFG)[1].tobytes() == nc._herm(below).tobytes()
+
+
+def _norm_inputs():
+    """Complex and real arrays in every layout of :func:`_layouts`, 1-d and
+    3-d, at unit scale, at 2^-500 and 2^500, and past the float range: at
+    2^600 the squares overflow and at 2^-600 they underflow to zero."""
+    rng = rng_for(90)
+    stack = rng.standard_normal((3, 4, 5)) + 1j * rng.standard_normal((3, 4, 5))
+    base = [*_layouts(), stack, stack[:, ::-1, 1::2], stack[0, 0], np.zeros(0, dtype=complex)]
+    for x in base:
+        for k in (0, -500, 500, -600, 600):
+            yield np.ldexp(x.real, k) + 1j * np.ldexp(x.imag, k)
+            yield np.ldexp(x.real, k)
+
+
+def _bits_and_warnings(f):
+    """(bytes of f()'s value, the messages of the RuntimeWarnings it raised)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        value = np.asarray(f(), dtype=float)
+    return value.tobytes(), [str(w.message) for w in caught if w.category is RuntimeWarning]
+
+
+def test_norms_equal_numpys_bit_for_bit_with_the_same_warnings():
+    """fro and _norms are np.linalg.norm's arithmetic without its dispatch:
+    the same bits, and the same RuntimeWarning where a square overflows."""
+    overflowed = 0
+    for x in _norm_inputs():
+        plain = _bits_and_warnings(lambda: float(np.linalg.norm(x)))
+        assert _bits_and_warnings(lambda: nc.fro(x)) == plain
+        overflowed += bool(plain[1])
+        for axis in range(-x.ndim, x.ndim):
+            plain = _bits_and_warnings(lambda: np.linalg.norm(x, axis=axis))
+            assert _bits_and_warnings(lambda: nc._norms(x, axis)) == plain
+    assert overflowed  # the overflow branch was reached

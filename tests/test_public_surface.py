@@ -72,3 +72,35 @@ def test_the_tolerance_rule_has_one_home():
                 if is_tolerance(node.left) or is_tolerance(node.right):
                     found.append(f"{path.name}:{node.lineno}")
     assert found == []
+
+
+def test_verdict_reductions_skip_numpys_dispatch_wrappers():
+    """Norms that only feed a verdict go through ``numcore.fro`` and
+    ``numcore._norms``, and reductions are array methods or ufunc reduces:
+    ``np.linalg.norm`` stays only where the spectral norm is wanted or its
+    value reaches a report, and no ``np.all/any/max/min/sum`` is used."""
+    kept_norms = {
+        ("numcore.py", "_above_data_cut"),  # the ord=2 spectral norm
+        ("numcore.py", "_kernel_witness"),  # the reported witness y / ||y||
+        ("schwarz.py", "gap"),  # the reported left side, squared
+        ("schwarz.py", "estimate"),  # the reported estimate, squared
+        ("schwarz.py", "_unit"),  # the estimate's iterates
+        ("star_algebra.py", "fn_on_positive"),  # the reported value, squared
+    }
+    wrappers = {f"{np_}.{name}" for np_ in ("np", "numpy") for name in ("all", "any", "max", "min", "sum")}
+
+    def visit(node, path, func, found):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            func = node.name
+        if isinstance(node, ast.Attribute):
+            name = ast.unparse(node)
+            norm = name in ("np.linalg.norm", "numpy.linalg.norm")
+            if name in wrappers or (norm and (path.name, func) not in kept_norms):
+                found.append(f"{path.name}:{node.lineno} {name}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, func, found)
+
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), path, None, found)
+    assert found == []

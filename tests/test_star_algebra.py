@@ -483,8 +483,8 @@ def test_a_functional_that_does_not_descend_carries_its_lambdas(monkeypatch):
 def test_overflowing_admissibility_forms_raise_result_out_of_range(tmp_path):
     # M_2 in the basis 1e100 E_ab (structure constants times 1e100, the unit
     # over it) and its trace state times 1e100: G = 1e200 (tr(E_ab* E_cd)) is
-    # finite and the forms L_i† G L_i reach 1e400.  The validation and the
-    # kernel test still take unscaled norms that overflow on such data
+    # finite and the forms L_i† G L_i reach 1e400.  The kernel witness test
+    # of the induced operator still takes norms that overflow on such data
     # (ROADMAP item 4), so only the forms are read under the RuntimeWarning
     # error filter.
     algebra = StarAlgebra(mult=1e100 * M2.mult, invol=M2.invol, unit=M2.unit / 1e100)
@@ -526,6 +526,35 @@ def test_ideal_closure_detected():
     basis[1, 0] = 1.0
     report = validate_algebra(M2, LeftIdeal(basis))
     assert "ideal_closure" in report.failures
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
+def test_validation_decides_overflowing_norms_on_rescaled_slices():
+    # E11 E11 = 1.5 E11 breaks associativity, (E11 E11) E12 = 1.5 E12 against
+    # E11 (E11 E12) = E12, and the unit; at scale 1e100 the triple products
+    # reach 1e200, and norms that overflow must not pass the rule
+    mult = M2.mult.copy()
+    mult[0, 0, 0] = 1.5
+    for s in (1.0, 1e100):
+        bad = StarAlgebra(mult=s * mult, invol=M2.invol, unit=M2.unit / s)
+        assert validate_algebra(bad, whole_algebra_ideal(bad)).failures == ("associativity", "unit")
+        good = StarAlgebra(mult=s * M2.mult, invol=M2.invol, unit=M2.unit / s)
+        assert validate_algebra(good, whole_algebra_ideal(good)).ok
+    # C[t]/t^3 in the basis 1, t, t^2 / s: t t = s b_2, and no triple product
+    # exceeds s.  At s = 1e200 a unit 1.5 must still fail: its rows, of size 1,
+    # sit beside rows of 1e200, and one exponent for all rows would underflow
+    # their norms to zero.  span{t}, whose products' norms overflow, must
+    # still fail closure
+    nil = nilpotent_algebra()
+    for s in (1.0, 1e200, 1e300):
+        mult = nil.mult.copy()
+        mult[1, 1, 2] = s
+        good = StarAlgebra(mult=mult, invol=nil.invol, unit=nil.unit)
+        bad = StarAlgebra(mult=mult, invol=nil.invol, unit=1.5 * nil.unit)
+        assert validate_algebra(good, whole_algebra_ideal(good)).ok
+        assert validate_algebra(good, LeftIdeal(np.eye(3)[:, 1:])).ok
+        assert validate_algebra(bad, whole_algebra_ideal(bad)).failures == ("unit",)
+        assert validate_algebra(good, LeftIdeal(np.eye(3)[:, 1:2])).failures == ("ideal_closure",)
 
 
 def test_induced_operator_examples():
