@@ -8,6 +8,7 @@ nested arrays of such pairs; extended reals are numbers or the string
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -164,31 +165,27 @@ def ext_real_out(x: float):
     return "inf" if math.isinf(x) else float(x)
 
 
+# flag -> the ToleranceConfig field it sets
+_TOL_FLAGS = {"tol_rank": "rank_rel_eps", "tol_psd": "psd_tol", "tol_cmp": "cmp_tol"}
+
+
 def _tolerances(args, file_tol: dict | None) -> ToleranceConfig:
     profile = os.environ.get("KVN_TOL_PROFILE", "default")
     if profile not in ("default", "strict"):
         raise CliInputError(f"unknown KVN_TOL_PROFILE {profile!r}")
-    base = STRICT_TOL if profile == "strict" else DEFAULT_TOL
-    values = {
-        "rank_rel_eps": base.rank_rel_eps,
-        "psd_tol": base.psd_tol,
-        "cmp_tol": base.cmp_tol,
-    }
+    values = {}
     if file_tol is not None:
         if not isinstance(file_tol, dict):
             raise CliInputError("tolerances: expected an object")
         for key in file_tol:
-            if key not in values:
+            if key not in _TOL_FLAGS.values():
                 raise CliInputError(f"tolerances: unknown key {key!r}")
             values[key] = _real_in(file_tol[key], f"tolerances.{key}")
-    if args.tol_rank is not None:
-        values["rank_rel_eps"] = args.tol_rank
-    if args.tol_psd is not None:
-        values["psd_tol"] = args.tol_psd
-    if args.tol_cmp is not None:
-        values["cmp_tol"] = args.tol_cmp
+    for flag, key in _TOL_FLAGS.items():
+        if getattr(args, flag) is not None:
+            values[key] = getattr(args, flag)
     try:
-        return ToleranceConfig(**values)
+        return dataclasses.replace(STRICT_TOL if profile == "strict" else DEFAULT_TOL, **values)
     except ValueError as exc:
         raise CliInputError(str(exc))
 
@@ -240,7 +237,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         "rank": res.factorization.r,
     }
     if bound is not None:
-        interval = extension_set._interval(op, res.a_n, bound, cfg, spec.basis_bracket)
+        interval = extension_set._interval(spec, bound)
         result["a_max"] = _grid(interval.a_max)
         result["degenerate"] = interval.degenerate
         count = payload.get("sample_count")

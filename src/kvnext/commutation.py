@@ -24,9 +24,8 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import DomainNotInvariant, HypothesesFail, ShapeMismatch
-from .kvn import _A_N, _extendible
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, gram_spectrum
+from .partial_op import _A_N, PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -76,7 +75,7 @@ def verify_commutation(
         raise ShapeMismatch(f"B and C must be {p.n} x {p.n}, got {bm.shape} and {cm.shape}")
     cad, bad = cm.conj().T @ p.action, bm.conj().T @ p.action
     _hypothesis_status(p, bm, cm, (cad, bad), cfg)
-    y = _extendible(spec).op.action @ spec.u
+    y = spec.require_extendible().op.action @ spec.u
     left, right = np.hstack([cad @ spec.u / spec.lam, -y / spec.lam]), np.hstack([y, bad @ spec.u])
     residual = nc.fro(left @ right.conj().T)
     j = y / np.sqrt(spec.lam)

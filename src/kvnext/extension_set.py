@@ -23,9 +23,8 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import BoundTooSmall, InvalidOperator, NotHermitian, NotPsd, ShapeMismatch
-from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
-from .partial_op import PartialOperator, _spectrum, gram_spectrum
+from .partial_op import GramSpectrum, PartialOperator, _spectrum, gram_spectrum
 
 
 @dataclass(frozen=True)
@@ -58,11 +57,10 @@ class CompletionReport:
     witness: np.ndarray | None
 
 
-def _interval(
-    p: PartialOperator, a_n: np.ndarray, b: np.ndarray, cfg: ToleranceConfig, basis_bracket=None
-) -> IntervalResult:
-    """:func:`a_max` over the minimal extension ``a_n`` of ``p`` (and
-    ``basis_bracket``, D's sigma_max bracket) that the caller holds."""
+def _interval(spec: GramSpectrum, b: np.ndarray) -> IntervalResult:
+    """:func:`a_max` read off a spectrum the caller holds: its operator,
+    tolerances, minimal extension and D's sigma_max bracket."""
+    p, cfg, a_n = spec.op, spec.cfg, spec.a_n
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     if not nc.is_hermitian(b, cfg):
@@ -88,7 +86,7 @@ def _interval(
     # the spectrum a_n came from accepted D, so the shifted operator on the
     # same D skips the rank test
     shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
-    top = nc._herm(b - _minimal_extension(_spectrum(shifted, cfg, True, basis_bracket)))
+    top = nc._herm(b - _spectrum(shifted, cfg, True, spec.basis_bracket).a_n)
     return IntervalResult(
         a_n=a_n,
         a_max=top,
@@ -103,8 +101,7 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
     same domain and action ``b @ D - Ad``.
     """
     bm = nc.as_matrix(b, "bound")
-    spec = gram_spectrum(p, cfg)
-    return _interval(p, _minimal_extension(spec), bm, cfg, spec.basis_bracket)
+    return _interval(gram_spectrum(p, cfg), bm)
 
 
 def in_interval(

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import numcore as nc
 from .errors import NotPsd, ShapeMismatch
-from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
 from .partial_op import PartialOperator, gram_spectrum
 
@@ -99,7 +98,7 @@ def extend_kernel(problem: KernelProblem, cfg: ToleranceConfig = DEFAULT_TOL) ->
     the order induced by the assembled operators.
     """
     # a_n is PSD by construction: its blocks need no further test
-    minimal = _minimal_extension(gram_spectrum(problem.sub, cfg))
+    minimal = gram_spectrum(problem.sub, cfg).a_n
     return Kernel(blocks=_blocks(minimal, problem.m, problem.n).copy())
 
 

@@ -17,8 +17,8 @@ Minimality and the two closed-form expressions for the quadratic form
 against each other and against brute-force maximization.
 
 Each operation factors G exactly once, through
-``partial_op.gram_spectrum``, and reads U_r, Lam_r and the extendibility
-verdict off that one spectrum; j is formed from them when first read.
+``partial_op.gram_spectrum``, and reads a_n, j and the extendibility
+verdict off that one :class:`GramSpectrum`, the home of their formulas.
 The norm of a_n is the Hilbert bound, the top eigenvalue of the r x r
 matrix j† j, so no n x n eigensolve is needed.
 """
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotExtendible
-from .numcore import DEFAULT_TOL, ToleranceConfig, _finite, _herm
+from .numcore import DEFAULT_TOL, ToleranceConfig, _finite
 from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
@@ -50,29 +49,6 @@ class KvnResult:
     norm: float
 
 
-# What ResultOutOfRange names when a_n, or a quantity read off it, overflows.
-_A_N = "minimal extension a_n = Ad G+ Ad†"
-
-
-def _extendible(spec: GramSpectrum) -> GramSpectrum:
-    """``spec`` itself, or NotExtendible carrying its witness."""
-    if not spec.extendible:
-        raise NotExtendible(
-            "no positive extension exists: the form vanishes along a direction "
-            "the operator does not kill",
-            certificate=spec.witness,
-        )
-    return spec
-
-
-def _minimal_extension(spec: GramSpectrum) -> np.ndarray:
-    """a_n = Ad G+ Ad†, read off a spectrum the caller already holds;
-    raises ResultOutOfRange when it overflows."""
-    image = _extendible(spec).op.action @ spec.u
-    a_n = (image / spec.lam) @ image.conj().T
-    return _finite(_herm(a_n), _A_N)
-
-
 def krein_von_neumann(
     p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> KvnResult:
@@ -88,7 +64,7 @@ def krein_von_neumann(
 def _kvn(spec: GramSpectrum) -> KvnResult:
     """The result read off a spectrum the caller already holds."""
     return KvnResult(
-        a_n=_minimal_extension(spec),
+        a_n=spec.a_n,
         factorization=HAFactorization(r=spec.r, j_matrix=spec.j),
         norm=spec.hilbert_bound(),
     )
@@ -99,7 +75,7 @@ def qform_sup(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> floa
 
     Equals the quadratic form ``<a_n y, y>`` of the minimal extension.
     """
-    return _extendible(gram_spectrum(p, cfg)).form(p.adjoint_action(y))
+    return gram_spectrum(p, cfg).require_extendible().form(p.adjoint_action(y))
 
 
 def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
@@ -109,7 +85,7 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
     there gives the same value as :func:`qform_sup`, through a different
     arithmetic path; ResultOutOfRange when that path overflows.
     """
-    spec = _extendible(gram_spectrum(p, cfg))
+    spec = gram_spectrum(p, cfg).require_extendible()
     v = p.adjoint_action(y)
     c = spec.u @ ((spec.u.conj().T @ v) / spec.lam)
     value = 2.0 * np.real(v.conj() @ c) - np.real(c.conj() @ spec.gram @ c)
@@ -119,5 +95,5 @@ def qform_shift(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> fl
 def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Operator norm of the minimal extension, off the PSD matrix a_n: the
     Hilbert bound (``KvnResult.norm``, off j† j) by a path that forms no J."""
-    a_n = _minimal_extension(gram_spectrum(p, cfg))
+    a_n = gram_spectrum(p, cfg).a_n
     return float(np.linalg.eigvalsh(a_n).max(initial=0.0))

@@ -21,8 +21,8 @@ when its smallest eigenvalue clears the data scale (rank G <= rank D), and
 only otherwise tests the rank of D, by one Cholesky of D† D and by SVD when
 that certificate cannot decide.  It then splits the spectrum at the
 data-scale cutoff, with the sigma_max brackets the read-off used, and
-derives the extendibility witness from that split.  The embedding J is
-formed on first read, for the constructions that use it.
+derives the extendibility witness from that split.  J, U Lam^{-1/2} and
+a_n are formed on first read, for the constructions that use them.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from . import numcore as nc
 from .errors import (
     NonHermitianGram,
     NonPsdGram,
+    NotExtendible,
     NotHermitian,
     RankDeficientDomain,
     ShapeMismatch,
@@ -48,6 +49,9 @@ _FAILURE_ERRORS = {
     "non_hermitian_gram": NonHermitianGram,
     "non_psd_gram": NonPsdGram,
 }
+
+# What ResultOutOfRange names when a_n, or a quantity read off it, overflows.
+_A_N = "minimal extension a_n = Ad G+ Ad†"
 
 
 @dataclass(frozen=True)
@@ -161,8 +165,8 @@ class GramSpectrum:
     witness:  normalized image Ad v of the kernel direction v that Ad
               moves most, when that exceeds cmp_tol; None otherwise
     basis_bracket: the sigma_max bracket of D that validation used
-    j:        Ad U Lam^{-1/2}, the embedding J: H_A -> C^n (n x r), formed
-              on first read
+    embed, j: U Lam^{-1/2} (d x r) and the embedding J = Ad U Lam^{-1/2}: H_A -> C^n
+    a_n:      Ad G+ Ad†, the minimal extension; all three formed on first read
     """
 
     op: PartialOperator
@@ -176,8 +180,20 @@ class GramSpectrum:
     basis_bracket: tuple[float, float] | None
 
     @cached_property
+    def embed(self) -> np.ndarray:
+        return self.u / np.sqrt(self.lam)
+
+    @cached_property
     def j(self) -> np.ndarray:
-        return self.op.action @ (self.u / np.sqrt(self.lam))
+        return self.op.action @ self.embed
+
+    @cached_property
+    def a_n(self) -> np.ndarray:
+        """a_n = Ad G+ Ad†; NotExtendible when there is none, ResultOutOfRange
+        when it overflows."""
+        image = self.require_extendible().op.action @ self.u
+        a_n = (image / self.lam) @ image.conj().T
+        return nc._finite(nc._herm(a_n), _A_N)
 
     @property
     def r(self) -> int:
@@ -187,6 +203,16 @@ class GramSpectrum:
     def extendible(self) -> bool:
         """ker G <= ker Ad, i.e. no kernel direction has a visible image."""
         return self.witness is None
+
+    def require_extendible(self) -> GramSpectrum:
+        """The spectrum itself, or NotExtendible carrying its witness."""
+        if not self.extendible:
+            raise NotExtendible(
+                "no positive extension exists: the form vanishes along a direction "
+                "the operator does not kill",
+                certificate=self.witness,
+            )
+        return self
 
     def hilbert_bound(self) -> float:
         """Largest eigenvalue of the r x r matrix j† j (ResultOutOfRange when

@@ -60,7 +60,6 @@ from .errors import (
     ShapeMismatch,
     UnitFail,
 )
-from .kvn import _minimal_extension
 from .numcore import DEFAULT_TOL, ToleranceConfig
 from .partial_op import GramSpectrum, PartialOperator, _spectrum
 
@@ -181,14 +180,14 @@ _ASSOC_BLOCK = 1 << 16
 def _close(x, y, tol: float, axis=-1, scale_x=True, unit=None) -> np.ndarray:
     """Per slice along ``axis``: ||x - y|| within tol at scale ||x|| + ||y||, or
     ||y|| alone unless ``scale_x``.  Where a norm overflows, the rule is decided
-    on each slice times ``unit`` = 2^-e, e the exponent of its largest entry."""
+    on each slice times ``unit`` = 2^-max(e, -1000), e the exponent of its largest entry."""
     with np.errstate(over="ignore"):  # a norm that overflows is decided below
         resid, scale = nc._norms(x - y, axis), nc._norms(y, axis)
         scale = nc._norms(x, axis) + scale if scale_x else scale
     if unit is not None or np.isfinite(resid + scale).all():
         return nc._within(resid, scale, tol, 1.0 if unit is None else unit.squeeze(axis))
     big = np.maximum(np.abs(x).max(axis, keepdims=True), np.abs(y).max(axis, keepdims=True))
-    unit = np.ldexp(1.0, -np.frexp(big)[1])
+    unit = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1000))
     return _close(x * unit, y * unit, tol, axis, scale_x, unit)
 
 
@@ -311,8 +310,7 @@ class _Functional:
         spec = self.spec
         lambdas = np.zeros(self.left.shape[0])
         if spec.r:
-            root_inv = spec.u / np.sqrt(spec.lam)
-            w = root_inv.conj().T @ self._forms @ root_inv
+            w = spec.embed.conj().T @ self._forms @ spec.embed
             lambdas = np.maximum(np.linalg.eigvalsh(nc._herm(w))[:, -1], 0.0)
         lambdas[~self._descends] = math.inf
         return AdmissibilityReport(admissible=self.admissible, lambdas=lambdas)
@@ -333,9 +331,9 @@ class _Functional:
         self.require_admissible()
         spec = self.spec
         coord = np.sqrt(spec.lam)[:, None] * spec.u.conj().T
-        rep = spec.u / np.sqrt(spec.lam)
-        zeta = rep.conj().T @ np.conj(self.w)
-        return GnsData(spec.r, spec.gram, tuple(coord @ self.left @ rep), zeta, spec.j.conj().T)
+        pi = tuple(coord @ self.left @ spec.embed)
+        zeta = spec.embed.conj().T @ np.conj(self.w)
+        return GnsData(spec.r, spec.gram, pi, zeta, spec.j.conj().T)
 
     @cached_property
     def f_n(self) -> np.ndarray:
@@ -392,7 +390,7 @@ class _Problem:
         rec = self.record(f)
         rec.require_admissible()
         try:
-            a_n = _minimal_extension(rec.spec)
+            a_n = rec.spec.a_n
         except NotExtendible as exc:
             raise NotHilbertBounded(
                 "functional is not Hilbert bounded despite admissibility"

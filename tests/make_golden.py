@@ -290,6 +290,23 @@ FIXTURE_SPECS = {
             },
         },
     ),
+    # f(E11) = 0, f(E21) = 1: a* a = (|a_11|^2 + |a_21|^2) E11 on the ideal, so
+    # f(a* a) vanishes there while f(E21) = 1: admissible, not Hilbert bounded
+    "functional_m2_unbounded": (
+        "functional",
+        2,
+        {
+            "kind": "star_algebra_problem",
+            "payload": {
+                "dim": 4,
+                "mult": M2_MULT,
+                "invol": M2_INVOL,
+                "unit": M2_UNIT,
+                "ideal_basis": M2_IDEAL,
+                "functional": rvec(0, 1),
+            },
+        },
+    ),
     "functional_not_positive": (
         "functional",
         1,

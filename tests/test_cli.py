@@ -383,6 +383,23 @@ def test_result_out_of_float_range_is_invalid_input(tmp_path):
     assert report["diagnostics"][0] == "minimal extension a_n = Ad G+ Ad† overflows the float range"
 
 
+def test_a_result_json_cannot_write_is_invalid_input(monkeypatch, tmp_path, capsys):
+    def runner(payload, cfg, seed, kind):
+        return "ok", {"gram": cli._grid([[math.inf, 1.0]])}
+
+    monkeypatch.setitem(cli._COMMANDS, "check", (runner, ("partial_operator",)))
+    out = tmp_path / "r.json"
+    assert run("check_running2", out) == 1
+    assert cli.main(["check", str(FIXTURES / "check_running2.json")]) == 1
+    printed = capsys.readouterr().out
+    assert printed == out.read_text()
+    report = json.loads(printed)
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == [
+        "result is not representable in JSON: Out of range float values are not JSON compliant"
+    ]
+
+
 def test_schwarz_whose_gap_overflows_is_invalid_input(tmp_path):
     problem = json.loads((FIXTURES / "schwarz_diag.json").read_text())
     problem["payload"]["vectors"] = [[[1e160, 0.0], [1e160, 0.0]]]

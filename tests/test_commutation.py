@@ -180,7 +180,7 @@ def test_the_one_residual_is_both_explicit_residuals(monkeypatch):
 
 
 def test_a_failed_hypothesis_raises_before_the_residual(monkeypatch):
-    monkeypatch.setattr(commutation, "_extendible", lambda spec: pytest.fail("residual computed"))
+    monkeypatch.setattr("kvnext.partial_op.GramSpectrum.require_extendible", lambda spec: pytest.fail("residual computed"))
     p = PartialOperator(E1, E1.copy())
     with pytest.raises(HypothesesFail, match=r"C† A = A B fails"):
         verify_commutation(p, [[0, 1], [0, 0]], [[0, 1], [0, 0]])

@@ -83,7 +83,7 @@ def test_a_max_brackets_d_once(monkeypatch):
     basis = orthonormal_columns(rng, 8, 4)
     p = PartialOperator(basis, t @ basis)
     bound = t + np.eye(8)
-    plain = extension_set._interval(p, krein_von_neumann(p).a_n, bound, nc.DEFAULT_TOL)
+    plain = extension_set._interval(gram_spectrum(p), bound)
 
     bracketed = []
     bracket = nc._sigma_max_bracket

@@ -51,6 +51,44 @@ def test_the_hermitian_part_has_one_home():
     assert found == []
 
 
+def test_the_spectral_coordinates_have_one_home():
+    """``<x>.u / np.sqrt(<x>.lam)``, the coordinates U Lam^{-1/2} of H_A, is
+    written once, in ``GramSpectrum.embed``; every other site reads it."""
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and (path.name, node.name) == ("partial_op.py", "GramSpectrum")
+        ]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.Div)
+                and getattr(node.left, "attr", None) == "u"
+                and ast.unparse(node.right).startswith("np.sqrt(")
+                and getattr(node.right.args[0], "attr", None) == "lam"
+                and not any(node.lineno in home for home in homes)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
+
+
+def test_a_n_is_read_off_the_spectrum_not_imported_from_kvn():
+    """``GramSpectrum`` forms a_n and decides extendibility, so no module
+    imports from ``.kvn``; the package's ``__init__`` re-exports its public
+    names."""
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "kvn"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
 def test_the_tolerance_rule_has_one_home():
     """No module but ``numcore`` multiplies a tolerance into a threshold:
     every tol * (1 + scale) test goes through ``numcore._within``, and every

@@ -3,6 +3,7 @@ import itertools
 import json
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -555,6 +556,27 @@ def test_validation_decides_overflowing_norms_on_rescaled_slices():
         assert validate_algebra(good, LeftIdeal(np.eye(3)[:, 1:])).ok
         assert validate_algebra(bad, whole_algebra_ideal(bad)).failures == ("unit",)
         assert validate_algebra(good, LeftIdeal(np.eye(3)[:, 1:2])).failures == ("ideal_closure",)
+
+
+def test_a_subnormal_row_beside_an_overflowing_one_is_decided():
+    # the 1e300 row's norm overflows, so every row is rescaled by 2^-e; for the
+    # subnormal row 2^-e itself overflowed and the row failed on a NaN
+    x = np.array([[1e300, 1e300, 0.0], [1e-310, 0.0, 0.0]])
+    assert star_algebra._close(x, x.copy(), 1e-10).tolist() == [True, True]
+
+
+def test_an_algebra_with_a_subnormal_basis_element_names_only_associativity():
+    # functions on 2 points in the basis (1e160 d0, 1e-310 d1): b0 b0 = 1e160 b0
+    # and b1 b1 = 1e-310 b1.  The triple product 1e320 overflows the GEMM
+    # (associativity, a known false failure); the involution laws hold
+    mult = np.zeros((2, 2, 2), dtype=complex)
+    mult[0, 0, 0], mult[1, 1, 1] = 1e160, 1e-310
+    algebra = StarAlgebra(mult=mult, invol=np.eye(2, dtype=complex))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        report = validate_algebra(algebra, LeftIdeal([[1.0], [0.0]]))
+    assert report.failures == ("associativity",)
+    assert not [w for w in caught if "overflow encountered in ldexp" in str(w.message)]
 
 
 def test_induced_operator_examples():
