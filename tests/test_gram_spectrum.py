@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from pathlib import Path
@@ -83,7 +84,8 @@ def test_a_max_brackets_d_once(monkeypatch):
     basis = orthonormal_columns(rng, 8, 4)
     p = PartialOperator(basis, t @ basis)
     bound = t + np.eye(8)
-    plain = extension_set._interval(gram_spectrum(p), bound)
+    # the reference brackets D again: it reads no basis_bracket
+    plain = extension_set._interval(dataclasses.replace(gram_spectrum(p), basis_bracket=None), bound)
 
     bracketed = []
     bracket = nc._sigma_max_bracket
