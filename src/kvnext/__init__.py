@@ -26,7 +26,6 @@ from .kernels import (
     operator_from_kernel,
 )
 from .kvn import (
-    HAFactorization,
     KvnResult,
     an_norm,
     krein_von_neumann,

@@ -21,7 +21,6 @@ import numpy as np
 
 from . import extension_set, kernels, partial_op, schwarz, star_algebra
 from . import commutation as commutation_mod
-from . import kvn as kvn_mod
 from . import numcore as nc
 from .errors import Infeasible, InvalidInput
 from .numcore import DEFAULT_TOL, STRICT_TOL, ToleranceConfig
@@ -165,6 +164,17 @@ def ext_real_out(x: float):
     return "inf" if math.isinf(x) else float(x)
 
 
+def _fields_out(report, **extra) -> dict:
+    """The fields of the dataclass ``report`` that are not None, and ``extra``,
+    as a result: arrays as grids, floats as extended reals."""
+    values = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)} | extra
+    return {
+        k: _grid(v) if isinstance(v, np.ndarray) else ext_real_out(v) if isinstance(v, float) else v
+        for k, v in values.items()
+        if v is not None
+    }
+
+
 # flag -> the ToleranceConfig field it sets
 _TOL_FLAGS = {"tol_rank": "rank_rel_eps", "tol_psd": "psd_tol", "tol_cmp": "cmp_tol"}
 
@@ -209,17 +219,8 @@ def _partial_operator_in(obj, where: str, n: int | None = None) -> partial_op.Pa
 
 
 def run_check(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
-    op = _partial_operator_in(payload, "payload")
-    report = partial_op.is_extendible(op, cfg)
-    result = {
-        "extendible": report.extendible,
-        "gram": _grid(report.gram),
-        "hilbert_bound": ext_real_out(report.hilbert_bound),
-    }
-    if report.witness is not None:
-        result["witness"] = _grid(np.ravel(report.witness))
-        return "not_extendible", result
-    return "ok", result
+    report = partial_op.is_extendible(_partial_operator_in(payload, "payload"), cfg)
+    return "ok" if report.extendible else "not_extendible", _fields_out(report)
 
 
 def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
@@ -230,12 +231,7 @@ def run_extend(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
         op = _partial_operator_in(payload, "payload")
         bound = None
     spec = partial_op.gram_spectrum(op, cfg)
-    res = kvn_mod._kvn(spec)
-    result = {
-        "a_n": _grid(res.a_n),
-        "norm": res.norm,
-        "rank": res.factorization.r,
-    }
+    result = {"a_n": _grid(spec.a_n), "norm": spec.hilbert_bound(), "rank": spec.r}
     if bound is not None:
         interval = extension_set._interval(spec, bound)
         result["a_max"] = _grid(interval.a_max)
@@ -252,18 +248,7 @@ def run_complete(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> t
     a11 = matrix_in(payload["a11"], "payload.a11")
     a21 = matrix_in(payload["a21"], "payload.a21", cols=a11.shape[0])
     report = extension_set.halmos_complete(a11, a21, cfg)
-    result = {
-        "completable": report.completable,
-        "bounded": report.bounded,
-        "range_condition": report.range_condition,
-        "bound_constant": ext_real_out(report.bound_constant),
-    }
-    if report.completable:
-        result["a22_min"] = _grid(report.a22_min)
-        result["completion"] = _grid(report.completion)
-        return "ok", result
-    result["witness"] = _grid(np.ravel(report.witness))
-    return "not_extendible", result
+    return "ok" if report.completable else "not_extendible", _fields_out(report)
 
 
 def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
@@ -272,12 +257,11 @@ def run_kernel(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tup
     op = _partial_operator_in(payload, "payload", m * n)
     problem = kernels.KernelProblem(m=m, n=n, sub=op)
     kernel = kernels.extend_kernel(problem, cfg)
-    result = {
-        "blocks": _grid(kernel.blocks),
-        "assembled": _grid(kernels.operator_from_kernel(kernel)),
-        "positive_definite": kernels.is_positive_definite_kernel(kernel, cfg),
-    }
-    return "ok", result
+    return "ok", _fields_out(
+        kernel,
+        assembled=kernels.operator_from_kernel(kernel),
+        positive_definite=kernels.is_positive_definite_kernel(kernel, cfg),
+    )
 
 
 def run_functional(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
@@ -324,15 +308,7 @@ def run_commutation(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -
     op = _partial_operator_in(payload.get("partial_operator"), "payload.partial_operator")
     b = matrix_in(payload["b"], "payload.b")
     c = matrix_in(payload["c"], "payload.c")
-    report = commutation_mod.verify_commutation(op, b, c, cfg)
-    result = {
-        "hypotheses_hold": report.hypotheses_hold,
-        "residual_cb": report.residual_cb,
-        "residual_bc": report.residual_bc,
-        "conclusion_holds": report.conclusion_holds,
-        "spectral_hypothesis": report.spectral_hypothesis,
-    }
-    return "ok", result
+    return "ok", _fields_out(commutation_mod.verify_commutation(op, b, c, cfg))
 
 
 def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tuple[str, dict]:
@@ -347,15 +323,11 @@ def run_schwarz(payload: dict, cfg: ToleranceConfig, seed: int, kind: str) -> tu
     iterations = _int_in(
         payload.get("iterations", 200), "payload.iterations", 0, MAX_ITERATIONS
     )
-    estimate = family.estimate(iterations, seed)
-    result = {
-        "lhs": gap.lhs,
-        "rhs": gap.rhs,
-        "constant": gap.constant,
-        "holds": nc._within(gap.lhs - gap.rhs, gap.rhs, cfg.cmp_tol),
-        "minimal_constant_estimate": estimate,
-    }
-    return "ok", result
+    return "ok", _fields_out(
+        gap,
+        holds=nc._within(gap.lhs - gap.rhs, gap.rhs, cfg.cmp_tol),
+        minimal_constant_estimate=family.estimate(iterations, seed),
+    )
 
 
 # command -> (runner, the problem kinds it accepts)

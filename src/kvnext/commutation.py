@@ -75,9 +75,11 @@ def verify_commutation(
         raise ShapeMismatch(f"B and C must be {p.n} x {p.n}, got {bm.shape} and {cm.shape}")
     cad, bad = cm.conj().T @ p.action, bm.conj().T @ p.action
     _hypothesis_status(p, bm, cm, (cad, bad), cfg)
-    y = spec.require_extendible().op.action @ spec.u
+    y = spec.image()
     left, right = np.hstack([cad @ spec.u / spec.lam, -y / spec.lam]), np.hstack([y, bad @ spec.u])
     residual = nc.fro(left @ right.conj().T)
+    # J = (Ad U) Lam^{-1/2} off the y already formed; spec.j = Ad (U Lam^{-1/2})
+    # would cost a second n x d x r GEMM per call
     j = y / np.sqrt(spec.lam)
     scale = nc.fro(nc._finite(j.conj().T @ j, _A_N)) * max(nc.fro(bm), nc.fro(cm))
     # an overflowed residual or scale would compare as a verdict

@@ -18,7 +18,8 @@ against each other and against brute-force maximization.
 
 Each operation factors G exactly once, through
 ``partial_op.gram_spectrum``, and reads a_n, j and the extendibility
-verdict off that one :class:`GramSpectrum`, the home of their formulas.
+verdict off that one :class:`GramSpectrum`, the home of their formulas;
+:class:`KvnResult` carries that spectrum as its ``factorization``.
 The norm of a_n is the Hilbert bound, the top eigenvalue of the r x r
 matrix j† j, so no n x n eigensolve is needed.
 """
@@ -34,18 +35,12 @@ from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
 @dataclass(frozen=True)
-class HAFactorization:
-    """Matrix of J on an orthonormal basis of H_A (r = rank G); J* is its
-    conjugate transpose."""
-
-    r: int
-    j_matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class KvnResult:
+    """a_n, the spectrum it was read off (J is ``factorization.j``, r is
+    ``factorization.r``) and the Hilbert bound ||a_n||."""
+
     a_n: np.ndarray
-    factorization: HAFactorization
+    factorization: GramSpectrum
     norm: float
 
 
@@ -58,16 +53,8 @@ def krein_von_neumann(
     and agrees with it within tolerance.  Every positive extension of the
     operator dominates a_n in the Loewner order.
     """
-    return _kvn(gram_spectrum(p, cfg))
-
-
-def _kvn(spec: GramSpectrum) -> KvnResult:
-    """The result read off a spectrum the caller already holds."""
-    return KvnResult(
-        a_n=spec.a_n,
-        factorization=HAFactorization(r=spec.r, j_matrix=spec.j),
-        norm=spec.hilbert_bound(),
-    )
+    spec = gram_spectrum(p, cfg)
+    return KvnResult(a_n=spec.a_n, factorization=spec, norm=spec.hilbert_bound())
 
 
 def qform_sup(p: PartialOperator, y, cfg: ToleranceConfig = DEFAULT_TOL) -> float:

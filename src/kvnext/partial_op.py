@@ -166,6 +166,7 @@ class GramSpectrum:
               moves most, when that exceeds cmp_tol; None otherwise
     basis_bracket: the sigma_max bracket of D that validation used
     embed, j: U Lam^{-1/2} (d x r) and the embedding J = Ad U Lam^{-1/2}: H_A -> C^n
+              on an orthonormal basis of H_A (r = rank G); J* is j†
     a_n:      Ad G+ Ad†, the minimal extension; all three formed on first read
     """
 
@@ -187,11 +188,15 @@ class GramSpectrum:
     def j(self) -> np.ndarray:
         return self.op.action @ self.embed
 
+    def image(self) -> np.ndarray:
+        """Ad U of a_n = (Ad U) Lam^{-1} (Ad U)†, formed per call; NotExtendible if no a_n."""
+        return self.require_extendible().op.action @ self.u
+
     @cached_property
     def a_n(self) -> np.ndarray:
         """a_n = Ad G+ Ad†; NotExtendible when there is none, ResultOutOfRange
         when it overflows."""
-        image = self.require_extendible().op.action @ self.u
+        image = self.image()
         a_n = (image / self.lam) @ image.conj().T
         return nc._finite(nc._herm(a_n), _A_N)
 

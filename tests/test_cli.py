@@ -83,6 +83,12 @@ def test_report_values_check(tmp_path):
     report = json.loads(out.read_text())
     assert report["result"]["extendible"] is True
     assert report["result"]["hilbert_bound"] == 2.0
+    # an integral float is an integer: dim 2.0 gives the golden's bytes
+    problem = json.loads((FIXTURES / "check_running2.json").read_text())
+    problem["payload"]["dim"] = 2.0
+    (tmp_path / "dim.json").write_text(json.dumps(problem))
+    assert cli.main(["check", str(tmp_path / "dim.json"), "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / "check_running2.report.json").read_bytes()
 
     run("check_halmos", out)
     report = json.loads(out.read_text())
@@ -185,6 +191,9 @@ def test_missing_file_and_bad_schema(tmp_path):
     bool_path.write_text(json.dumps(boolean))
     assert cli.main(["check", str(bool_path), "--out", str(out)]) == 1
     assert json.loads(out.read_text())["status"] == "invalid_input"
+    bad.write_text("[1]")
+    assert cli.main(["check", str(bad), "--out", str(out)]) == 1
+    assert json.loads(out.read_text())["diagnostics"] == ["problem file must contain a JSON object"]
 
 
 @pytest.mark.parametrize(
@@ -274,12 +283,24 @@ FUNCTIONAL_EMPTY_ROWS = {
          "payload.iterations: expected an integer from 0 to 100000"),
         ("schwarz_diag", ("payload", "iterations"), 100001,
          "payload.iterations: expected an integer from 0 to 100000"),
+        ("check_running2", ("tolerances",), [1e-8], "tolerances: expected an object"),
+        ("check_running2", ("tolerances",), {"cmp": 1e-8}, "tolerances: unknown key 'cmp'"),
+        ("extend_bounded_3i", ("payload", "partial_operator"), [1],
+         "payload.partial_operator: expected an object"),
+        ("check_running2", ("payload", "dim"), 3, "payload: domain_basis must have 3 rows"),
+        ("check_running2", ("payload", "action"), 1, "payload.action: expected a list of rows"),
+        ("complete_halmos", ("payload", "a21"), [[[1.0, 0.0]], [[1.0, 0.0], [0.0, 0.0]]],
+         "payload.a21: ragged rows"),
+        ("schwarz_diag", ("payload", "operators"), {}, "payload: operators and vectors must be lists"),
+        ("check_running2", ("payload",), [1], "payload must be an object"),
     ],
     ids=["dim-list", "dim-null", "seed-list", "tolerance-list", "sample-count-list",
          "tolerance-401-digits", "entry-401-digits", "dim-0", "dim-negative", "dim-over-cap", "dim-one-over-cap",
          "set-size-over-cap", "set-size-times-fiber-dim-over-cap", "functional-empty-mult-rows",
          "sample-count-negative", "sample-count-over-cap", "iterations-negative",
-         "iterations-over-cap"],
+         "iterations-over-cap", "tolerances-not-object", "tolerance-unknown-key",
+         "partial-operator-not-object", "domain-basis-rows-not-dim", "action-not-list",
+         "a21-row-with-wrong-column-count", "schwarz-operators-not-list", "payload-not-object"],
 )
 def test_malformed_field_is_invalid_input(name, path, value, message, tmp_path):
     problem = json.loads((FIXTURES / f"{name}.json").read_text())

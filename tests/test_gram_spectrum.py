@@ -158,7 +158,7 @@ def test_only_the_constructions_that_read_j_form_it(monkeypatch):
     j = spec.j
     assert spec.j is j
     assert j.tobytes() == (p.action @ (spec.u / np.sqrt(spec.lam))).tobytes()
-    assert krein_von_neumann(p).factorization.j_matrix.tobytes() == j.tobytes()
+    assert krein_von_neumann(p).factorization.j.tobytes() == j.tobytes()
 
 
 @pytest.mark.parametrize("fn", [nc.psd_sqrt])

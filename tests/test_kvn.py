@@ -34,7 +34,7 @@ HALMOS = PartialOperator(E1, np.array([[0.0], [1.0]], dtype=complex))
 def test_factorization_empty_domain():
     p = PartialOperator(np.zeros((2, 0)), np.zeros((2, 0)))
     res = krein_von_neumann(p)
-    assert res.factorization.r == 0 and res.factorization.j_matrix.shape == (2, 0)
+    assert res.factorization.r == 0 and res.factorization.j.shape == (2, 0)
     assert np.array_equal(res.a_n, np.zeros((2, 2)))
     assert res.norm == 0.0
 
@@ -42,12 +42,12 @@ def test_factorization_empty_domain():
 def test_factorization_running_example():
     fact = krein_von_neumann(RUN2).factorization
     assert fact.r == 1
-    assert np.allclose(fact.j_matrix, [[1.0], [1.0]])
+    assert np.allclose(fact.j, [[1.0], [1.0]])
 
 
 def test_factorization_reconstructs_everywhere_defined():
     a = random_psd(rng_for(2), 5, rank=3)
-    j = krein_von_neumann(PartialOperator(np.eye(5), a)).factorization.j_matrix
+    j = krein_von_neumann(PartialOperator(np.eye(5), a)).factorization.j
     assert np.max(np.abs(j @ j.conj().T - a)) <= 1e-9
 
 
@@ -74,7 +74,7 @@ def test_result_invariants_on_random_instances():
             1.0 + nc.fro(p.action)
         )
         # factorization agrees with the closed form
-        j = res.factorization.j_matrix
+        j = res.factorization.j
         assert nc.fro(j @ j.conj().T - res.a_n) <= 1e-8 * (1.0 + nc.fro(res.a_n))
         # j* returns auxiliary-space coordinates of the action on the domain
         lam, u = nc._kept(nc.hermitian_eigen(p.gram()), nc.DEFAULT_TOL)

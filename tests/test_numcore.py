@@ -59,6 +59,7 @@ def test_is_psd_examples():
     assert not nc.is_psd(np.array([[0.0, 1.0], [1.0, 0.0]]))
     # eigenvalues 0 and 2 from the characteristic polynomial l^2 - 2l
     assert nc.is_psd(np.array([[1.0, 1.0], [1.0, 1.0]]))
+    assert nc.is_psd(np.array([2.0]))  # 1-d input is a column, here 1 x 1
     with pytest.raises(NotSquare):
         nc.is_psd(np.zeros((1, 2)))
 

@@ -30,7 +30,7 @@ def test_readme_lists_exactly_the_public_names():
     }
     listed = _readme_entry_points()
     assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
-    assert len(exported) == 54
+    assert len(exported) == 53
 
 
 def test_the_hermitian_part_has_one_home():
@@ -86,6 +86,33 @@ def test_a_n_is_read_off_the_spectrum_not_imported_from_kvn():
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, "kvn"):
                 found.append(f"{path.name}:{node.lineno}")
+            # from . import kvn
+            if isinstance(node, ast.ImportFrom) and (node.level, node.module) == (1, None):
+                if any(alias.name == "kvn" for alias in node.names):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert found == []
+
+
+def test_the_image_of_u_has_one_home():
+    """``<x>.action @ <x>.u``, the factor Ad U of a_n, is written once, in
+    ``GramSpectrum.image``; every other site calls that method."""
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ClassDef) and (path.name, node.name) == ("partial_op.py", "GramSpectrum")
+        ]
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.BinOp)
+                and isinstance(node.op, ast.MatMult)
+                and getattr(node.left, "attr", None) == "action"
+                and getattr(node.right, "attr", None) == "u"
+                and not any(node.lineno in home for home in homes)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
     assert found == []
 
 
