@@ -14,10 +14,10 @@ Conventions used across the package:
   it is at most ``tol * (1 + scale)``, ``tol`` being ``cmp_tol`` or
   ``psd_tol`` and ``scale`` the norm the residual's rounding grows with.
   Positivity is its PSD form, ``-min eig <= psd_tol * (1 + max|eig|)``
-  (:func:`spectrum_is_psd`), which absorbs eigensolver noise.  :func:`is_psd`
-  proves that verdict by one Cholesky of a shifted matrix when it can: one
+  (:func:`spectrum_is_psd`), which absorbs eigensolver noise; :func:`_psd_rule`
+  proves that verdict by one Cholesky of a shifted matrix when it can (one
   that runs to completion below the floor accepts, one that fails above it
-  refutes; ``eigvalsh`` decides only the band between the two shifts.
+  refutes), and ``eigvalsh`` decides only the band between the two shifts.
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -141,10 +141,7 @@ def hermitian_residual(m: np.ndarray) -> float:
 
 
 def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    a = as_matrix(m)
-    _require_square(a, "matrix")
-    with np.errstate(over="ignore"):  # both norms are tested by the rule
-        return _hermitian_within(a, hermitian_residual(a), fro(a), cfg)
+    return _checked_herm(as_matrix(m), cfg)[1] is not None
 
 
 def _hermitian_within(a: np.ndarray, residual: float, scale: float, cfg: ToleranceConfig) -> bool:
@@ -175,6 +172,11 @@ def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return _within(-float(w.min()), float(np.abs(w).max()), cfg.psd_tol)
 
 
+def _top_eigenvalue(h: np.ndarray) -> float:
+    """max(largest eigenvalue of the Hermitian ``h`` as ``eigvalsh`` returns it, 0)."""
+    return float(np.linalg.eigvalsh(h).max(initial=0.0))
+
+
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -185,8 +187,7 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     residual, h = _checked_herm(as_matrix(m), cfg)
     if h is None:
         raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
-    w, v = np.linalg.eigh(h)
-    return HermitianEigen(eigenvalues=w, eigenvectors=v)
+    return HermitianEigen(*np.linalg.eigh(h))
 
 
 def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarray | None]:
@@ -200,6 +201,14 @@ def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarra
         if not _hermitian_within(a, residual, scale, cfg):
             return residual, None
     return residual, _herm(a, adj) if scale < 2.0**1023 else 0.5 * a + 0.5 * adj
+
+
+def _hermitian_part(a: np.ndarray, name: str, cfg: ToleranceConfig) -> np.ndarray:
+    """:func:`_checked_herm`'s Hermitian part of ``a``, or NotHermitian naming ``a``."""
+    h = _checked_herm(a, cfg)[1]
+    if h is None:
+        raise NotHermitian(f"{name} is not Hermitian within tolerance")
+    return h
 
 
 # Rank certificate.  Let M = fl(m† m), t = tr M and u the unit roundoff.
@@ -501,16 +510,32 @@ def _cholesky_refutes_psd(h: np.ndarray, psd_tol: float) -> bool:
     return not _shifted_cholesky_runs(h, 1.25 * (psd_tol * (1.0 + f + e) + e + demmel))
 
 
+# The PSD flow, the one home of every positivity verdict on an exactly
+# Hermitian matrix: the accepting certificate, then the refuting one, then
+# eigvalsh and spectrum_is_psd only when neither decides.  The certificates
+# are looked up in this module's namespace at each call, so replacing them
+# here (as the eigvalsh-only reference of the tests does) switches them off.
+# A marginal test (the bound check of extension_set._interval) accepts by
+# certificate only at floor 0, which proves that no eigenvalue eigvalsh would
+# return is negative; a spectrum that passes only within psd_tol reaches
+# eigvalsh, and its least eigenvalue flags the tolerance-marginal warning.
+
+
+def _psd_rule(h: np.ndarray, cfg: ToleranceConfig, marginal: bool = False) -> tuple[bool, float]:
+    """(whether the exactly Hermitian ``h`` passes :func:`spectrum_is_psd`, the least
+    eigenvalue ``eigvalsh`` returned, or +inf where a certificate decided)."""
+    if _cholesky_certifies_psd(h, 0.0 if marginal else cfg.psd_tol):
+        return True, math.inf
+    if _cholesky_refutes_psd(h, cfg.psd_tol):
+        return False, math.inf
+    w = np.linalg.eigvalsh(h)
+    return spectrum_is_psd(w, cfg), float(w.min(initial=math.inf))
+
+
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Hermitian within cmp_tol and spectrum above -psd_tol * (1 + max|eig|);
-    ``eigvalsh`` runs only when neither :func:`_cholesky_certifies_psd` nor
-    :func:`_cholesky_refutes_psd` decides."""
+    """Hermitian within cmp_tol, then :func:`_psd_rule` on the Hermitian part."""
     h = _checked_herm(as_matrix(m), cfg)[1]
-    if h is None:
-        return False
-    if _cholesky_certifies_psd(h, cfg.psd_tol):
-        return True
-    return not _cholesky_refutes_psd(h, cfg.psd_tol) and spectrum_is_psd(np.linalg.eigvalsh(h), cfg)
+    return h is not None and _psd_rule(h, cfg)[0]
 
 
 def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:
@@ -548,17 +573,27 @@ def _sqrt_pinv(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
 
 
 def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Loewner order: A <= B iff B - A is PSD within tolerance."""
+    """Loewner order: A <= B iff B - A is PSD within tolerance (:func:`_loewner_leq`)."""
     am = as_matrix(a, "A")
     bm = as_matrix(b, "B")
     _require_square(am, "A")
     _require_square(bm, "B")
     if am.shape != bm.shape:
         raise ShapeMismatch(f"shape mismatch {am.shape} vs {bm.shape}")
-    for name, m in (("A", am), ("B", bm)):
-        if not is_hermitian(m, cfg):
-            raise NotHermitian(f"{name} is not Hermitian within tolerance")
-    return is_psd(bm - am, cfg)
+    return _loewner_leq(_hermitian_part(am, "A", cfg), _hermitian_part(bm, "B", cfg), cfg)
+
+
+# The Loewner rule: each operand passes the Hermitian rule once, at its own
+# scale, and the PSD flow decides the difference of the Hermitian parts that
+# _checked_herm formed, itself exactly Hermitian.  No Hermitian test of hi - lo
+# runs: at the difference's scale it would reject a candidate whose
+# anti-Hermitian part is rounding-level next to the candidate yet not next to
+# hi - lo.
+
+
+def _loewner_leq(lo: np.ndarray, hi: np.ndarray, cfg: ToleranceConfig) -> bool:
+    """lo <= hi for Hermitian parts of operands tested once each: the PSD rule on hi - lo."""
+    return _psd_rule(hi - lo, cfg)[0]
 
 
 def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:

@@ -22,6 +22,7 @@ from util_gen import (
     random_psd,
     random_unitary,
     rng_for,
+    skew_probe,
 )
 
 E1 = np.array([[1.0], [0.0]], dtype=complex)
@@ -105,6 +106,21 @@ def test_in_interval_examples():
         with pytest.raises(NotHermitian) as exc:
             in_interval(RUN2, bound, candidate)
         assert (type(exc.value), str(exc.value)) == (NotHermitian, f"{name} is not Hermitian within tolerance")
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
+def test_a_candidate_is_compared_by_its_hermitian_part(eps):
+    # X passes the Hermitian rule at its own scale and its Hermitian part is
+    # a_n, an end of the interval; X - a_n is all anti-Hermitian part, which a
+    # second Hermitian test at the difference's scale would reject
+    p, b, a_n, x = skew_probe(eps)
+    assert in_interval(p, b, x)
+
+
+def test_a_candidate_beyond_the_hermitian_rule_is_still_rejected():
+    p, b, a_n, x = skew_probe(1e-5)
+    with pytest.raises(NotHermitian, match="candidate"):
+        in_interval(p, b, x)
 
 
 def test_sample_extensions_endpoints_and_determinism():
@@ -214,6 +230,16 @@ def test_completion_whose_coupling_overflows_raises_result_out_of_range(a11, a21
     with pytest.raises(ResultOutOfRange) as exc:
         halmos_complete(a11, a21)
     assert str(exc.value) == "coupling A11^{+1/2} A21† A21 A11^{+1/2} overflows the float range"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||Ad||_F and the gap overflow
+def test_a_bound_whose_gap_overflows_raises_result_out_of_range():
+    # a_n = 8e307 e1 e1† and B = -1.7e308 I: B - a_n overflows to -inf, which
+    # must not reach the eigensolver as a violation of nan
+    p = PartialOperator(E1, [[8e307], [0.0]])
+    with pytest.raises(ResultOutOfRange) as exc:
+        a_max(p, -1.7e308 * np.eye(2))
+    assert str(exc.value) == "gap B - a_n overflows the float range"
 
 
 def test_halmos_three_way_agreement_and_kvn_consistency():

@@ -15,12 +15,23 @@ from kvnext import (
 )
 from kvnext import numcore as nc
 from kvnext.errors import NotExtendible, NotPsd, ShapeMismatch
-from util_gen import random_psd, rng_for
+from util_gen import random_psd, rng_for, skew_probe
 
 
 def scalar_kernel(entries) -> Kernel:
     arr = np.asarray(entries, dtype=complex)
     return Kernel(blocks=arr.reshape(arr.shape[0], arr.shape[1], 1, 1))
+
+
+@pytest.mark.parametrize("eps", [1e-9, 1e-7, 1e-6])
+def test_kernel_order_compares_the_operators_hermitian_parts(eps):
+    # the 2 x 1 kernels whose operators are a_n and X of the probe: X's
+    # Hermitian part is a_n, so each dominates the other
+    _, _, a_n, x = skew_probe(eps)
+    k, l = scalar_kernel(a_n.T), scalar_kernel(x.T)
+    assert operator_from_kernel(l).tobytes() == x.astype(complex).tobytes()
+    assert kernel_preceq(k, l)
+    assert kernel_preceq(l, k)
 
 
 def test_single_point_assembly():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -128,3 +129,30 @@ def test_my_constant_scaling():
         base = my_constant(p, y)
         scaled = my_constant(p, lam * y)
         assert scaled == pytest.approx(abs(lam) ** 2 * base, rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        1e150,
+        *(
+            pytest.param(
+                s,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    raises=AssertionError,
+                    reason="ROADMAP item 4, step 1: ||Ad||_F overflows, so the kernel witness passes at scale inf",
+                ),
+            )
+            for s in (1e155, 1e308)
+        ),
+    ],
+)
+def test_a_large_action_off_the_domain_is_not_extendible(s):
+    # D = e1, Ad = (1, s): ker G is empty, but Ad moves off the domain as far
+    # as the data-scale cutoff allows; at s = 1e150 the cutoff drops G
+    p = PartialOperator(np.array([[1.0], [0.0]]), np.array([[1.0], [s]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = is_extendible(p)
+    assert (report.extendible, report.hilbert_bound) == (False, math.inf)

@@ -116,6 +116,24 @@ def test_the_image_of_u_has_one_home():
     assert found == []
 
 
+def test_the_psd_flow_has_one_home():
+    """The PSD flow (accepting certificate, refuting certificate, then
+    ``eigvalsh``) is written once, in ``numcore._psd_rule``: no other module
+    names a certificate, and ``extension_set`` reaches every eigensolver
+    through numcore."""
+    certificates = {"_cholesky_certifies_psd", "_cholesky_refutes_psd"}
+    solvers = {f"{np_}.linalg.{name}" for np_ in ("np", "numpy") for name in ("eigh", "eigvalsh")}
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in certificates and path.name != "numcore.py":
+                found.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.Attribute) and path.name == "extension_set.py" and ast.unparse(node) in solvers:
+                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+    assert found == []
+
+
 def test_the_tolerance_rule_has_one_home():
     """No module but ``numcore`` multiplies a tolerance into a threshold:
     every tol * (1 + scale) test goes through ``numcore._within``, and every

@@ -529,6 +529,28 @@ def test_ideal_closure_detected():
     assert "ideal_closure" in report.failures
 
 
+@pytest.mark.parametrize(
+    "s",
+    [
+        1e100,
+        pytest.param(
+            1e200,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=AssertionError,
+                reason="ROADMAP item 14: the associativity GEMMs overflow on structure constants of 1e200",
+            ),
+        ),
+    ],
+)
+def test_m2_in_a_scaled_basis_validates(s):
+    algebra = StarAlgebra(mult=s * M2.mult, invol=M2.invol, unit=M2.unit / s)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        report = validate_algebra(algebra, whole_algebra_ideal(algebra))
+    assert report.failures == ()
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
 def test_validation_decides_overflowing_norms_on_rescaled_slices():
     # E11 E11 = 1.5 E11 breaks associativity, (E11 E11) E12 = 1.5 E12 against

@@ -117,6 +117,17 @@ def restricted_psd(rng, n: int, d: int) -> PartialOperator:
     return PartialOperator(basis, t @ basis)
 
 
+def skew_probe(eps: float):
+    """(p, B, a_n, X): D = e1, Ad = 1e3 (1, 1), B = 3e3 I, the minimal
+    extension a_n = Ad G^-1 Ad† = 1e3 [[1, 1], [1, 1]] in closed form, and
+    X = a_n + eps [[0, 1], [-1, 0]], whose Hermitian part is exactly a_n.
+    X passes the Hermitian rule at its own scale for eps up to about 7e-6,
+    while X - a_n is all anti-Hermitian part."""
+    p = PartialOperator(np.array([[1.0], [0.0]]), 1e3 * np.array([[1.0], [1.0]]))
+    a_n = 1e3 * np.ones((2, 2))
+    return p, 3e3 * np.eye(2), a_n, a_n + eps * np.array([[0.0, 1.0], [-1.0, 0.0]])
+
+
 def dominating_bound(rng, a_n: np.ndarray, margin: float = 0.1) -> np.ndarray:
     n = a_n.shape[0]
     bump = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
