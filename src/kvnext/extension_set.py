@@ -68,7 +68,7 @@ def _interval(spec: GramSpectrum, b: np.ndarray) -> IntervalResult:
     gap = nc._finite(nc._hermitian_part(b, "bound", cfg) - a_n, "gap B - a_n")
     dominates, least = nc._psd_rule(gap, cfg, marginal=True)
     if not dominates:
-        eig = nc.hermitian_eigen(gap, cfg)
+        eig = nc._eigh(gap)
         raise BoundTooSmall(
             f"bound does not dominate the minimal extension "
             f"(violation {float(eig.eigenvalues[0]):.3e} along a certificate direction)",
@@ -197,7 +197,7 @@ def halmos_complete(
         coupling = nc._finite(
             nc._herm(s @ (a21m.conj().T @ a21m) @ s), "coupling A11^{+1/2} A21† A21 A11^{+1/2}"
         )
-        bound_constant = nc._top_eigenvalue(coupling)
+        bound_constant = float(np.linalg.eigvalsh(coupling).max(initial=0.0))
     else:
         bound_constant = float("inf")
 

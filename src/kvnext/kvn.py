@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numcore import DEFAULT_TOL, ToleranceConfig, _finite, _top_eigenvalue
+from .numcore import DEFAULT_TOL, ToleranceConfig, _finite
 from .partial_op import GramSpectrum, PartialOperator, gram_spectrum
 
 
@@ -83,4 +83,4 @@ def an_norm(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> float:
     """Operator norm of the minimal extension, off the PSD matrix a_n: the
     Hilbert bound (``KvnResult.norm``, off j† j) by a path that forms no J."""
     a_n = gram_spectrum(p, cfg).a_n
-    return _top_eigenvalue(a_n)
+    return float(np.linalg.eigvalsh(a_n).max(initial=0.0))

@@ -172,11 +172,6 @@ def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return _within(-float(w.min()), float(np.abs(w).max()), cfg.psd_tol)
 
 
-def _top_eigenvalue(h: np.ndarray) -> float:
-    """max(largest eigenvalue of the Hermitian ``h`` as ``eigvalsh`` returns it, 0)."""
-    return float(np.linalg.eigvalsh(h).max(initial=0.0))
-
-
 def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
 
@@ -187,6 +182,11 @@ def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
     residual, h = _checked_herm(as_matrix(m), cfg)
     if h is None:
         raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
+    return _eigh(h)
+
+
+def _eigh(h: np.ndarray) -> HermitianEigen:
+    """``eigh`` of a matrix already exactly Hermitian, with no test of its own."""
     return HermitianEigen(*np.linalg.eigh(h))
 
 
@@ -593,7 +593,7 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 
 def _loewner_leq(lo: np.ndarray, hi: np.ndarray, cfg: ToleranceConfig) -> bool:
     """lo <= hi for Hermitian parts of operands tested once each: the PSD rule on hi - lo."""
-    return _psd_rule(hi - lo, cfg)[0]
+    return _psd_rule(_finite(hi - lo, "difference hi - lo"), cfg)[0]
 
 
 def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:

@@ -227,7 +227,7 @@ class GramSpectrum:
         if self.r == 0:
             return 0.0
         jj = nc._finite(self.j.conj().T @ self.j, "Hilbert bound: j† j")
-        return nc._top_eigenvalue(jj)
+        return float(np.linalg.eigvalsh(jj).max(initial=0.0))
 
     def form(self, v) -> float:
         """v† G+ v for domain coefficients v; +inf off ran G, ResultOutOfRange on overflow."""

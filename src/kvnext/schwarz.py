@@ -69,7 +69,7 @@ class _Family:
             lhs = float(np.linalg.norm(sum(m @ x for m, x in zip(self.mats, xs))) ** 2)
             forms = sum(float(np.real(np.vdot(x, m @ x))) for m, x in zip(self.mats, xs))
         lhs = nc._finite(lhs, "left side ||sum_j A_j x_j||^2")
-        constant = nc._top_eigenvalue(nc._herm(total))
+        constant = float(np.linalg.eigvalsh(nc._herm(total)).max(initial=0.0))
         rhs = nc._finite(constant * forms, "right side ||sum_j A_j|| sum_j <A_j x_j, x_j>")
         return GapReport(lhs=lhs, rhs=rhs, constant=constant)
 

@@ -83,6 +83,15 @@ def test_loewner_order_compares_the_operands_hermitian_parts(eps):
     assert nc.loewner_leq(x, a_n)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # B - A overflows
+def test_a_loewner_difference_that_overflows_raises_result_out_of_range():
+    # both operands are finite and Hermitian; B - A = -inf must not reach the
+    # eigensolver, whose 1 x 1 path returns it for spectrum_is_psd to accept
+    with pytest.raises(ResultOutOfRange) as exc:
+        nc.loewner_leq([[1.7e308]], [[-1.7e308]])
+    assert str(exc.value) == "difference hi - lo overflows the float range"
+
+
 def test_loewner_reflexive_and_antisymmetric():
     rng = rng_for(23)
     for _ in range(25):
@@ -227,7 +236,6 @@ def test_hermitian_rule_holds_where_the_norm_overflows(p):
         assert nc.is_hermitian(near, tol) is ok
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
 @pytest.mark.xfail(
     strict=True,
     raises=AssertionError,
@@ -239,6 +247,7 @@ def test_a_skew_matrix_far_below_one_is_not_hermitian():
         assert not nc.is_hermitian(np.array([[1.0, 0.9], [0.0, 1.0]]) * 2.0**-1000)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # decided, not warned
 def test_hermitian_part_of_entries_near_the_float_limit_does_not_overflow():
     # a + a† overflows from entries of about 8.99e307 on
     big = 1e308 * np.eye(2)

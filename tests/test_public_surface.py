@@ -119,18 +119,25 @@ def test_the_image_of_u_has_one_home():
 def test_the_psd_flow_has_one_home():
     """The PSD flow (accepting certificate, refuting certificate, then
     ``eigvalsh``) is written once, in ``numcore._psd_rule``: no other module
-    names a certificate, and ``extension_set`` reaches every eigensolver
-    through numcore."""
+    names a certificate, and the Loewner statements of ``extension_set``
+    (``_interval`` and ``in_interval``) reach every eigensolver through numcore."""
     certificates = {"_cholesky_certifies_psd", "_cholesky_refutes_psd"}
     solvers = {f"{np_}.linalg.{name}" for np_ in ("np", "numpy") for name in ("eigh", "eigvalsh")}
     found = []
     for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
             name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
             if name in certificates and path.name != "numcore.py":
                 found.append(f"{path.name}:{node.lineno} {name}")
-            if isinstance(node, ast.Attribute) and path.name == "extension_set.py" and ast.unparse(node) in solvers:
-                found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
+        if path.name == "extension_set.py":
+            loewner = [
+                f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name in ("_interval", "in_interval")
+            ]
+            assert len(loewner) == 2
+            for node in (n for f in loewner for n in ast.walk(f)):
+                if isinstance(node, ast.Attribute) and ast.unparse(node) in solvers:
+                    found.append(f"{path.name}:{node.lineno} {ast.unparse(node)}")
     assert found == []
 
 
