@@ -57,10 +57,11 @@ class CompletionReport:
     witness: np.ndarray | None
 
 
-def _interval(spec: GramSpectrum, b: np.ndarray) -> IntervalResult:
+def _interval(spec: GramSpectrum, b) -> IntervalResult:
     """:func:`a_max` read off a spectrum the caller holds: its operator,
     tolerances, minimal extension and D's sigma_max bracket."""
     p, cfg, a_n = spec.op, spec.cfg, spec.a_n
+    b = nc.as_matrix(b, "bound")
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     # a_n <= B, the bound's Hermitian part against a_n (exactly Hermitian);
@@ -83,7 +84,7 @@ def _interval(spec: GramSpectrum, b: np.ndarray) -> IntervalResult:
     # the spectrum a_n came from accepted D, so the shifted operator on the
     # same D skips the rank test
     shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
-    top = nc._herm(b - _spectrum(shifted, cfg, True, spec.basis_bracket).a_n)
+    top = nc._herm(b - _spectrum(shifted, cfg, spec.basis_bracket).a_n)
     return IntervalResult(
         a_n=a_n,
         a_max=top,
@@ -97,8 +98,7 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
     Built as b - a_n(shifted) where the shifted partial operator has the
     same domain and action ``b @ D - Ad``.
     """
-    bm = nc.as_matrix(b, "bound")
-    return _interval(gram_spectrum(p, cfg), bm)
+    return _interval(gram_spectrum(p, cfg), b)
 
 
 def in_interval(
@@ -179,9 +179,9 @@ def halmos_complete(
     domain[:k, :] = np.eye(k)
     column = PartialOperator(domain, np.vstack([a11m, a21m]))
     try:
-        # D = [I; 0] has orthonormal columns, so its rank is not tested: only
-        # the Hermitian or PSD test on G = A11 can fail.
-        spec = _spectrum(column, cfg, rank_decided=True)
+        # D = [I; 0] has orthonormal columns, so it is accepted with its
+        # bracket: only the Hermitian or PSD test on G = A11 can fail.
+        spec = _spectrum(column, cfg, nc._sigma_max_bracket(domain))
     except InvalidOperator as exc:
         raise NotPsd("A11 is not positive semidefinite within tolerance") from exc
 

@@ -122,22 +122,25 @@ class ExtendibilityReport:
 
 
 def _validated(
-    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool = False, basis_bracket=None
+    p: PartialOperator, cfg: ToleranceConfig, accepted=None
 ) -> tuple[ValidationReport, nc.HermitianEigen | None, tuple]:
     """The one validation pass, plus what it computed along the way: the eigh
     of G that the PSD test read (None when G is not Hermitian) and the
-    sigma_max brackets of D (``basis_bracket`` when given) and Ad.  With
-    ``rank_decided`` an earlier pass accepted D; otherwise ``full_column_rank``
-    runs only when ``numcore._gram_certifies_rank`` cannot read it off G."""
+    sigma_max brackets of D and Ad.  ``accepted`` is the bracket of a D that
+    an earlier pass accepted: it stands for D's, and the rank test is skipped.
+    Otherwise ``full_column_rank`` runs only when
+    ``numcore._gram_certifies_rank`` cannot read the rank off G; a missing
+    bracket (None: entries whose squares overflow or underflow) re-runs the
+    rank test, which returns the first pass's verdict."""
     failures = []
     g = p.gram()
-    d_bracket = nc._sigma_max_bracket(p.domain_basis) if basis_bracket is None else basis_bracket
+    d_bracket = nc._sigma_max_bracket(p.domain_basis) if accepted is None else accepted
     brackets = d_bracket, nc._sigma_max_bracket(p.action)
     try:
         eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
     except NotHermitian:
         eig = None
-    decided = rank_decided or (
+    decided = accepted is not None or (
         eig is not None and nc._gram_certifies_rank(eig.eigenvalues, p.n, brackets, cfg)
     )
     if not (decided or nc.full_column_rank(p.domain_basis, cfg)):
@@ -255,14 +258,12 @@ def gram_spectrum(
     Raises the :class:`InvalidOperator` subclass naming the first
     validation failure.
     """
-    return _spectrum(p, cfg, False)
+    return _spectrum(p, cfg)
 
 
-def _spectrum(
-    p: PartialOperator, cfg: ToleranceConfig, rank_decided: bool, basis_bracket=None
-) -> GramSpectrum:
-    """:func:`gram_spectrum`; see :func:`_validated` for the other arguments."""
-    report, eig, brackets = _validated(p, cfg, rank_decided, basis_bracket)
+def _spectrum(p: PartialOperator, cfg: ToleranceConfig, accepted=None) -> GramSpectrum:
+    """:func:`gram_spectrum`; see :func:`_validated` for ``accepted``."""
+    report, eig, brackets = _validated(p, cfg, accepted)
     report.raise_if_invalid()
     keep = nc._above_data_cut(eig.eigenvalues, cfg, p.domain_basis, p.action, brackets=brackets)
     lam, u, kernel = nc._split(eig, keep)

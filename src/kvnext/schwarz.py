@@ -29,6 +29,7 @@ class GapReport:
     lhs: float
     rhs: float
     constant: float
+    holds: bool  # lhs <= rhs by the cmp_tol rule at the scale of rhs
 
 
 def _not_psd(j: int) -> NotPsd:
@@ -71,7 +72,8 @@ class _Family:
         lhs = nc._finite(lhs, "left side ||sum_j A_j x_j||^2")
         constant = float(np.linalg.eigvalsh(nc._herm(total)).max(initial=0.0))
         rhs = nc._finite(constant * forms, "right side ||sum_j A_j|| sum_j <A_j x_j, x_j>")
-        return GapReport(lhs=lhs, rhs=rhs, constant=constant)
+        holds = nc._within(lhs - rhs, rhs, self.cfg.cmp_tol)
+        return GapReport(lhs=lhs, rhs=rhs, constant=constant, holds=holds)
 
     def estimate(self, iterations: int, seed: int) -> float:
         """The power iteration of :func:`minimal_constant_estimate`, its

@@ -370,17 +370,21 @@ class _Problem:
         """The sigma_max bracket of the ideal basis, shared by every record."""
         return nc._sigma_max_bracket(self.ideal.basis)
 
+    def _action(self, w: np.ndarray) -> np.ndarray:
+        """Ad of the functional with values ``w``: column j is (f(b_k* a_j))_k."""
+        return self.algebra.invol @ (w @ self.left)
+
     def record(self, f) -> _Functional:
         """The functional's record, holding its own copy of the values.
-        Validation decided the rank of the ideal basis (the whole-algebra
-        basis is the identity), so the induced operator's is not tested."""
+        Validation accepted the ideal basis (the whole-algebra basis is the
+        identity), so the induced operator's is accepted with its bracket."""
         w = nc.as_vector(f, "functional values")
         if w.size != self.ideal.p:
             raise ShapeMismatch(f"functional must have length {self.ideal.p}, got {w.size}")
         key = w.tobytes()
         if key not in self.records:
-            op = PartialOperator(self.ideal.basis, self.algebra.invol @ (w @ self.left))
-            spec = _spectrum(op, self.cfg, rank_decided=True, basis_bracket=self.basis_bracket)
+            op = PartialOperator(self.ideal.basis, self._action(w))
+            spec = _spectrum(op, self.cfg, self.basis_bracket)
             self.records[key] = _Functional(w.copy(), spec, self.left)
         return self.records[key]
 
@@ -417,15 +421,17 @@ class _Problem:
         if not whole.representable(gv):
             raise NotRepresentable("bound functional is not representable")
         rec = self.record(f)
-        head = functional_gram(self.algebra, gv - rec.f_n)
-        if not nc.is_psd(head, self.cfg):
-            eig = nc.hermitian_eigen(nc._herm(head), self.cfg)
+        head = gv - rec.f_n
+        try:  # g dominates f_N iff the Gram (g - f_N)(b_i* b_j) of its record validates
+            whole.record(head)
+        except (NonPsdGram, NonHermitianGram) as exc:
+            # the least eigenvector of that Gram, which is Ad as D = I
             raise BoundNotDominating(
                 "bound functional does not dominate the minimal extension",
-                certificate=eig.eigenvectors[:, 0],
-            )
+                certificate=nc._eigh(nc._herm(whole._action(head))).eigenvectors[:, 0],
+            ) from exc
         result = gv - self.record(self.ideal.basis.T @ gv - rec.w).f_n
-        for name, candidate in (("g - f_N", gv - rec.f_n), ("f_max", result)):
+        for name, candidate in (("g - f_N", head), ("f_max", result)):
             if not whole.representable(candidate):
                 raise NotRepresentable(
                     f"{name} failed the constructive representability check"

@@ -293,6 +293,11 @@ FUNCTIONAL_EMPTY_ROWS = {
          "payload.a21: ragged rows"),
         ("schwarz_diag", ("payload", "operators"), {}, "payload: operators and vectors must be lists"),
         ("check_running2", ("payload",), [1], "payload must be an object"),
+        # D = e1, Ad = (1, 1)^T and the bound [[inf or nan, 0], [0, 3]]
+        ("extend_bounded_3i", ("payload", "bound", 0, 0), math.inf,
+         "bound contains non-finite entries"),
+        ("extend_bounded_3i", ("payload", "bound", 0, 0), math.nan,
+         "bound contains non-finite entries"),
     ],
     ids=["dim-list", "dim-null", "seed-list", "tolerance-list", "sample-count-list",
          "tolerance-401-digits", "entry-401-digits", "dim-0", "dim-negative", "dim-over-cap", "dim-one-over-cap",
@@ -300,7 +305,8 @@ FUNCTIONAL_EMPTY_ROWS = {
          "sample-count-negative", "sample-count-over-cap", "iterations-negative",
          "iterations-over-cap", "tolerances-not-object", "tolerance-unknown-key",
          "partial-operator-not-object", "domain-basis-rows-not-dim", "action-not-list",
-         "a21-row-with-wrong-column-count", "schwarz-operators-not-list", "payload-not-object"],
+         "a21-row-with-wrong-column-count", "schwarz-operators-not-list", "payload-not-object",
+         "bound-infinite", "bound-nan"],
 )
 def test_malformed_field_is_invalid_input(name, path, value, message, tmp_path):
     problem = json.loads((FIXTURES / f"{name}.json").read_text())

@@ -141,6 +141,32 @@ def test_the_psd_flow_has_one_home():
     assert found == []
 
 
+def test_functional_gram_is_only_the_order_oracle():
+    """``functional_gram`` contracts (g(b_i* b_j))_ij on its own, rounding
+    apart from a record's ``invol @ (w @ L)``: only ``functional_leq`` calls
+    it, so no construction decides on a second copy of a record's Gram.  And
+    the CLI applies no tolerance rule of its own: it names no ``_within``."""
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        oracle = [
+            range(f.lineno, f.end_lineno + 1)
+            for f in tree.body
+            if isinstance(f, ast.FunctionDef) and (path.name, f.name) == ("star_algebra.py", "functional_leq")
+        ]
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None)) == "functional_gram"
+                and not any(node.lineno in home for home in oracle)
+            ):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            if name == "_within" and path.name == "cli.py":
+                found.append(f"{path.name}:{node.lineno} _within")
+    assert found == []
+
+
 def test_the_tolerance_rule_has_one_home():
     """No module but ``numcore`` multiplies a tolerance into a threshold:
     every tol * (1 + scale) test goes through ``numcore._within``, and every

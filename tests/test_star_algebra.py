@@ -40,7 +40,7 @@ from kvnext.errors import (
     UnitFail,
 )
 from kvnext.numcore import DEFAULT_TOL
-from kvnext.star_algebra import functional_leq, whole_algebra_ideal
+from kvnext.star_algebra import functional_gram, functional_leq, whole_algebra_ideal
 from util_gen import (
     delta_algebra,
     fn_sup_oracle,
@@ -321,8 +321,11 @@ def test_functional_run_decides_each_functional_once(lapack_calls, monkeypatch, 
     calls = run("functional_m2_fmax")
     # f's lambdas for the report, and the kernel tests of the two forms with
     # a kernel: the shifted functional g|I - f = 0 and g - f_N; the
-    # representability checks form no lambdas
-    assert calls["cholesky"] <= 2 and calls["eigvalsh"] == 3 and calls["eigh"] <= 4
+    # representability checks form no lambdas.  g >= f_N is decided by the
+    # validation of g - f_N's record, so the one Cholesky is the rank certificate
+    assert calls["cholesky"] == 1 and calls["eigvalsh"] == 3 and calls["eigh"] <= 4
+    calls = run("functional_m3_fmax")
+    assert calls["cholesky"] == 1 and calls["eigvalsh"] == 1 and calls["eigh"] <= 5
 
 
 def _statement_cases():
@@ -785,9 +788,37 @@ def test_f_max_m2_trace_interval():
 
 
 def test_f_max_not_dominating_certificate():
-    small = 0.5 * extend_functional(M2, M2_IDEAL, M2_F)
-    with pytest.raises(BoundNotDominating):
+    f_n = extend_functional(M2, M2_IDEAL, M2_F)
+    small = 0.5 * f_n
+    with pytest.raises(BoundNotDominating, match="does not dominate the minimal extension") as info:
         f_max(M2, M2_IDEAL, M2_F, small)
+    # a unit direction v along which the form of g - f_N is negative
+    v = info.value.certificate
+    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
+    assert np.vdot(v, functional_gram(M2, small - f_n) @ v).real < 0.0
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        1e9,
+        pytest.param(
+            1e10,
+            marks=pytest.mark.xfail(
+                strict=True,
+                raises=NonPsdGram,
+                reason="ROADMAP item 3: the Gram of g|I - f, rounding noise when g = f_N, "
+                "is tested for positivity at its own scale, not at that of f and g",
+            ),
+        ),
+        1e11,
+    ],
+)
+def test_f_max_with_f_n_as_the_bound_is_f_n(s):
+    # f = s tr(rho .) with rho = [[2, 1], [1, 1]] on the ideal basis E11, E21
+    f = s * np.array([2.0, 1.0], dtype=complex)
+    g = extend_functional(M2, M2_IDEAL, f)
+    assert np.max(np.abs(f_max(M2, M2_IDEAL, f, g) - g)) <= 1e-15 * s
 
 
 def test_f_max_rejects_unrepresentable_bound():
