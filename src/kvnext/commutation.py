@@ -46,15 +46,17 @@ def _hypothesis_status(
     # D is validated full column rank, so ran D = ran q and r is invertible:
     # no further rank decision is made here.
     q, r = np.linalg.qr(p.domain_basis)
-    coeff = {}
+    proj = []
     for name, m in (("B", b), ("C", c)):
-        proj = nc._span_coords(m @ p.domain_basis, q, cfg)
-        if proj is None:
+        coords = nc._span_coords(m @ p.domain_basis, q, cfg)
+        if coords is None:
             raise DomainNotInvariant(f"invariance: {name} does not leave the domain invariant")
-        coeff[name] = np.linalg.solve(r, proj)  # M x_j in the domain basis
+        proj.append(coords)
+    # one LU of r for both: M x_j in the domain basis, B's then C's
+    coeff = np.hsplit(np.linalg.solve(r, np.hstack(proj)), 2)
     scale = nc.fro(p.action) * max(nc.fro(b), nc.fro(c), 1.0)
-    for product, m, law in zip(products, "BC", ("C† A = A B", "B† A = A C")):
-        if not nc._within(nc.fro(product - p.action @ coeff[m]), scale, cfg.cmp_tol):
+    for product, m_coeff, law in zip(products, coeff, ("C† A = A B", "B† A = A C")):
+        if not nc._within(nc.fro(product - p.action @ m_coeff), scale, cfg.cmp_tol):
             raise HypothesesFail(f"{law} fails on the domain")
 
 

@@ -5,13 +5,15 @@ largest one, obtained by reflecting the minimal construction:
 
     a_max = B - minimal_extension(B restricted-minus A).
 
-A positive candidate below B extends the partial operator exactly when
-it sits between a_n and a_max in the Loewner order, which turns the
-two-sided eigenvalue test :func:`in_interval` into a complete membership
-criterion.  A congruence parametrization of the interval provides the
-sampler used throughout the test suites, and the classical two-block
-completion problem is solved by the same machinery specialized to a
-domain spanned by leading coordinates.
+By the paper's main theorem a_n is the least positive extension and a_max
+the greatest positive extension below B, and a_max - a_n vanishes on the
+domain.  So a Hermitian X lies in [a_n, a_max] exactly when X D = Ad,
+X >= 0 and X <= B: :func:`in_interval` decides those three on the one
+factorization of G that the bound check reads, and never builds a_max.
+A congruence parametrization of the interval provides the sampler used
+throughout the test suites, and the classical two-block completion
+problem is solved by the same machinery specialized to a domain spanned
+by leading coordinates.
 """
 
 from __future__ import annotations
@@ -57,16 +59,19 @@ class CompletionReport:
     witness: np.ndarray | None
 
 
-def _interval(spec: GramSpectrum, b) -> IntervalResult:
-    """:func:`a_max` read off a spectrum the caller holds: its operator,
-    tolerances, minimal extension and D's sigma_max bracket."""
+def _checked_bound(spec: GramSpectrum, b, stacklevel: int) -> tuple[np.ndarray, np.ndarray]:
+    """(b as a matrix, its Hermitian part) once ``b`` passes as a bound for the
+    operator of ``spec``: finite, square, Hermitian and B >= a_n, else
+    BoundTooSmall with its certificate; warns, at ``stacklevel`` frames up,
+    when B >= a_n holds only within psd_tol."""
     p, cfg, a_n = spec.op, spec.cfg, spec.a_n
     b = nc.as_matrix(b, "bound")
     if b.shape != (p.n, p.n):
         raise ShapeMismatch(f"bound must be {p.n} x {p.n}, got {b.shape}")
     # a_n <= B, the bound's Hermitian part against a_n (exactly Hermitian);
     # the marginal test reads a spectrum that passes only within psd_tol
-    gap = nc._finite(nc._hermitian_part(b, "bound", cfg) - a_n, "gap B - a_n")
+    hb = nc._hermitian_part(b, "bound", cfg)
+    gap = nc._finite(hb - a_n, "gap B - a_n")
     dominates, least = nc._psd_rule(gap, cfg, marginal=True)
     if not dominates:
         eig = nc._eigh(gap)
@@ -79,8 +84,16 @@ def _interval(spec: GramSpectrum, b) -> IntervalResult:
         warnings.warn(
             "bound dominates the minimal extension only within psd_tol; "
             "the interval endpoints are tolerance-marginal",
-            stacklevel=3,
+            stacklevel=stacklevel,
         )
+    return b, hb
+
+
+def _interval(spec: GramSpectrum, b) -> IntervalResult:
+    """:func:`a_max` read off a spectrum the caller holds: its operator,
+    tolerances, minimal extension and D's sigma_max bracket."""
+    p, cfg, a_n = spec.op, spec.cfg, spec.a_n
+    b = _checked_bound(spec, b, stacklevel=4)[0]
     # the spectrum a_n came from accepted D, so the shifted operator on the
     # same D skips the rank test
     shifted = PartialOperator(p.domain_basis, b @ p.domain_basis - p.action)
@@ -104,17 +117,33 @@ def a_max(p: PartialOperator, b, cfg: ToleranceConfig = DEFAULT_TOL) -> Interval
 def in_interval(
     p: PartialOperator, b, candidate, cfg: ToleranceConfig = DEFAULT_TOL
 ) -> bool:
-    """Membership in [a_n, a_max]; for positive candidates below the bound
-    this is equivalent to being an extension of ``p``."""
+    """Membership in [a_n, a_max], decided by the interval theorem.
+
+    a_n is the least positive extension and a_max the greatest one below B,
+    and the two agree on the domain, so X lies in [a_n, a_max] exactly when
+    X D = Ad, X >= 0 and X <= B.  Those three are decided on the candidate's
+    Hermitian part, in that order, once the bound passes the check of
+    :func:`a_max`: ||X D - Ad||_F by the cmp_tol rule at ||Ad||_F (an
+    overflowed residual raises ResultOutOfRange), then the PSD rule on X
+    and the Loewner rule on B - X.  ``p`` is factored once; a_max is not
+    built.
+    """
     cm = nc.as_matrix(candidate, "candidate")
     if cm.shape != (p.n, p.n):
         raise ShapeMismatch(f"candidate must be {p.n} x {p.n}, got {cm.shape}")
-    # a_n <= cm <= a_max in the Loewner order; both ends are Hermitian by
-    # construction, so only the candidate's symmetry needs its one test, and
-    # it comes first: a non-Hermitian candidate costs no factorization
+    # the candidate's one symmetry test comes first: a non-Hermitian
+    # candidate costs no factorization
     h = nc._hermitian_part(cm, "candidate", cfg)
-    interval = a_max(p, b, cfg)
-    return nc._loewner_leq(interval.a_n, h, cfg) and nc._loewner_leq(h, interval.a_max, cfg)
+    hb = _checked_bound(gram_spectrum(p, cfg), b, stacklevel=3)[1]
+    with np.errstate(over="ignore", invalid="ignore"):  # tested just below
+        norms = np.array([nc.fro(h @ p.domain_basis - p.action), nc.fro(p.action)])
+    # an overflowed residual or scale would compare as a verdict
+    residual, scale = nc._finite(norms, "residual X D - Ad")
+    return bool(
+        nc._within(residual, scale, cfg.cmp_tol)
+        and nc._psd_rule(h, cfg)[0]
+        and nc._loewner_leq(h, hb, cfg)
+    )
 
 
 def sample_extensions(

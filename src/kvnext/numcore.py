@@ -515,7 +515,7 @@ def _cholesky_refutes_psd(h: np.ndarray, psd_tol: float) -> bool:
 # eigvalsh and spectrum_is_psd only when neither decides.  The certificates
 # are looked up in this module's namespace at each call, so replacing them
 # here (as the eigvalsh-only reference of the tests does) switches them off.
-# A marginal test (the bound check of extension_set._interval) accepts by
+# A marginal test (the bound check of extension_set._checked_bound) accepts by
 # certificate only at floor 0, which proves that no eigenvalue eigvalsh would
 # return is negative; a spectrum that passes only within psd_tol reaches
 # eigvalsh, and its least eigenvalue flags the tolerance-marginal warning.

@@ -6,11 +6,11 @@ import pytest
 
 @pytest.fixture
 def lapack_calls(monkeypatch):
-    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares, QR and
-    Cholesky, and, under ``norm2``, the SVD hidden in ``np.linalg.norm(x, 2)``
-    of a matrix."""
+    """Counts calls of the numpy.linalg eigensolvers, SVD, least squares, QR,
+    Cholesky and linear solves, and, under ``norm2``, the SVD hidden in
+    ``np.linalg.norm(x, 2)`` of a matrix."""
     calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr", "cholesky"):
+    for name in ("eigh", "eigvalsh", "svd", "lstsq", "qr", "cholesky", "solve"):
         fn = getattr(np.linalg, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):

@@ -117,7 +117,8 @@ def test_hypotheses_read_one_qr_of_the_domain(lapack_calls, tmp_path):
     p, b, c = commuting_instance(rng_for(45), 16)
     lapack_calls.clear()
     assert verify_commutation(p, b, c).conclusion_holds
-    assert lapack_calls == {"cholesky": 1, "eigh": 1, "qr": 1}
+    # one LU of the QR's r serves both hypotheses' coordinates
+    assert lapack_calls == {"cholesky": 1, "eigh": 1, "qr": 1, "solve": 1}
 
     lapack_calls.clear()
     argv = ["commutation", str(FIXTURES / "commutation_diag.json"), "--out", str(tmp_path / "r.json")]

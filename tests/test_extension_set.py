@@ -18,6 +18,7 @@ from kvnext.partial_op import gram_spectrum
 from util_gen import (
     dominating_bound,
     extensions_by_block,
+    orthonormal_columns,
     random_partial,
     random_psd,
     random_unitary,
@@ -90,6 +91,14 @@ def test_marginal_bound_accepted_with_warning():
     assert res.degenerate
 
 
+def test_membership_runs_the_bound_check_of_a_max():
+    bound = ONES - 1e-12 * np.eye(2)
+    with pytest.warns(UserWarning, match="tolerance-marginal"):
+        assert in_interval(RUN2, bound, ONES)
+    with pytest.raises(BoundTooSmall, match=r"violation -1\.000e\+00 along"):
+        in_interval(RUN2, np.eye(2), ONES)
+
+
 def test_in_interval_examples():
     b = 3 * np.eye(2)
     assert in_interval(RUN2, b, ONES)
@@ -121,6 +130,83 @@ def test_a_candidate_beyond_the_hermitian_rule_is_still_rejected():
     p, b, a_n, x = skew_probe(1e-5)
     with pytest.raises(NotHermitian, match="candidate"):
         in_interval(p, b, x)
+
+
+def test_a_candidate_that_misses_ad_costs_only_the_bound_check(lapack_calls):
+    rng = rng_for(2024)
+    t = random_psd(rng, 8)
+    basis = orthonormal_columns(rng, 8, 4)
+    p = PartialOperator(basis, t @ basis)
+    u = orthonormal_columns(rng, 8, 1)
+    # T + u u†/4 misses Ad on the domain: after the eigh of G, only the
+    # Cholesky certificate of B - a_n >= 0 runs
+    assert not in_interval(p, t + np.eye(8), t + 0.25 * (u @ u.conj().T))
+    counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "cholesky"))
+    assert counts == (1, 0, 0, 1)
+
+
+def _interval_probe(s):
+    """D = q[:, :4], W = q[:, 4:], T = s q diag(linspace(1, 2, 8)) q†, Ad = T D
+    and B = T + s I, for a seeded unitary q."""
+    q = random_unitary(rng_for(3030), 8)
+    t = nc._herm(s * (q * np.linspace(1.0, 2.0, 8)) @ q.conj().T)
+    d, w = q[:, :4], q[:, 4:]
+    return PartialOperator(d, t @ d), t, t + s * np.eye(8), d, w
+
+
+@pytest.mark.parametrize("s", [1.0, 1e3])
+@pytest.mark.parametrize("delta", [1e-7, 1e-6, 1e-5])
+def test_a_candidate_that_misses_the_action_is_outside(s, delta):
+    # X = T + s delta (w v† + v w†) moves X D off Ad by about s delta, far
+    # past cmp_tol; it moves the least eigenvalues of X - a_n and a_max - X
+    # only at second order in delta, so the Loewner test alone admitted it
+    p, t, b, d, w = _interval_probe(s)
+    v, u = d[:, :1], w[:, :1]
+    e = u @ v.conj().T + v @ u.conj().T
+    assert not in_interval(p, b, t + s * delta * e)
+
+
+@pytest.mark.parametrize("s", [1.0, 1e3])
+@pytest.mark.parametrize("delta", [1e-10, 1e-9])
+def test_a_candidate_below_a_n_within_psd_tol_is_inside_at_every_scale(s, delta):
+    # X = a_n - s delta w w† with w off the domain: X D = Ad, and X >= 0
+    # within psd_tol at X's own scale; a test of X - a_n at the difference's
+    # scale rejected it at s = 1e3
+    p, t, b, d, w = _interval_probe(s)
+    x = krein_von_neumann(p).a_n - s * delta * (w[:, 1:2] @ w[:, 1:2].conj().T)
+    assert in_interval(p, b, x)
+
+
+@pytest.mark.parametrize("cfg", [nc.DEFAULT_TOL, nc.STRICT_TOL], ids=["default", "strict"])
+@pytest.mark.parametrize("k", [-40, 0, 40])
+def test_membership_agrees_with_the_loewner_ends_off_the_tolerance_band(k, cfg):
+    # the interval theorem: X D = Ad, 0 <= X <= B iff a_n <= X <= a_max.  At
+    # 2^-40 the data sit below the tolerance rule's absolute unit, so both
+    # rules admit every candidate (ROADMAP item 3); they still agree
+    s = 2.0**k
+    rng = rng_for(4040 + k)
+    for _ in range(3):
+        t = s * random_psd(rng, 8)
+        basis = rng.standard_normal((8, 4)) + 1j * rng.standard_normal((8, 4))
+        p = PartialOperator(basis, t @ basis)
+        b = t + s * np.eye(8)
+        interval = a_max(p, b, cfg)
+        u = orthonormal_columns(rng, 8, 1)
+        inside = [t, interval.a_n, interval.a_max, 0.5 * (interval.a_n + interval.a_max)]
+        inside += sample_extensions(p, b, 3, seed=int(rng.integers(1 << 30)), cfg=cfg)
+        outside = [t + 0.25 * s * (u @ u.conj().T), b + s * np.eye(8), -s * np.eye(8)]
+        for x, want in [(x, True) for x in inside] + [(x, False) for x in outside]:
+            ends = loewner_leq(interval.a_n, x, cfg) and loewner_leq(x, interval.a_max, cfg)
+            assert in_interval(p, b, x, cfg) == ends == (want or k < 0)
+
+
+def test_a_candidate_whose_residual_overflows_raises_result_out_of_range():
+    # X D - Ad is finite, ||X D - Ad||_F is not: an infinite residual would
+    # pass an infinite scale, so it raises before any comparison
+    x = 1e308 * ONES
+    with pytest.raises(ResultOutOfRange) as exc:
+        in_interval(RUN2, 3 * np.eye(2), x)
+    assert str(exc.value) == "residual X D - Ad overflows the float range"
 
 
 def test_sample_extensions_endpoints_and_determinism():

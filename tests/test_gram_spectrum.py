@@ -59,13 +59,12 @@ def test_each_construction_factors_the_gram_once(lapack_calls, monkeypatch):
     counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "norm2", "cholesky"))
     assert counts == (1, 1, 0, 0, 0)
 
-    # one eigh of G per operator (A, then B D - Ad), whose spectrum decides
-    # the rank of D; Cholesky certificates decide B - a_n >= 0 and both
-    # Loewner tests a_n <= T <= a_max, so no eigvalsh runs
+    # one eigh of G, whose spectrum decides the rank of D; Cholesky
+    # certificates decide B - a_n >= 0, T >= 0 and T <= B, so no eigvalsh runs
     lapack_calls.clear()
     assert in_interval(p, bound, t)
     counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "cholesky"))
-    assert counts == (2, 0, 0, 3)
+    assert counts == (1, 0, 0, 3)
 
     rank_tests = []
     for name in ("full_column_rank", "_gram_certifies_rank"):
@@ -95,8 +94,9 @@ def test_a_max_brackets_d_once(monkeypatch):
     assert len(bracketed) == 3
     assert top.tobytes() == plain.a_max.tobytes()
     bracketed.clear()
+    # D and Ad: in_interval builds no shifted operator
     assert in_interval(p, bound, t)
-    assert len(bracketed) == 3
+    assert len(bracketed) == 2
 
 
 def test_extend_with_a_bound_brackets_d_once(monkeypatch, tmp_path):
@@ -151,7 +151,9 @@ def test_only_the_constructions_that_read_j_form_it(monkeypatch):
     p2, b, c = commuting_instance(rng, 6)
     verify_commutation(p2, b, c)
     extend_kernel(KernelProblem(m=2, n=2, sub=PartialOperator(basis[:4, :2], t[:4, :4] @ basis[:4, :2])))
-    assert len(specs) == 6
+    # a_max two (A and B D - Ad), in_interval, verify_commutation and
+    # extend_kernel one each
+    assert len(specs) == 5
     assert all("j" not in spec.__dict__ for spec in specs)
     # the constructions that do read J form it once, with the same arithmetic
     spec = gram_spectrum(p)

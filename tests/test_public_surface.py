@@ -141,6 +141,21 @@ def test_the_psd_flow_has_one_home():
     assert found == []
 
 
+def test_membership_reads_one_factorization():
+    """``in_interval`` decides membership by the interval theorem on one
+    ``gram_spectrum``: it calls none of ``a_max``, ``_interval`` or
+    ``_spectrum``, so it builds neither a_max nor the shifted operator."""
+    tree = ast.parse((ROOT / "src" / "kvnext" / "extension_set.py").read_text(encoding="utf-8"))
+    (member,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "in_interval"]
+    called = [
+        getattr(node.func, "id", getattr(node.func, "attr", None))
+        for node in ast.walk(member)
+        if isinstance(node, ast.Call)
+    ]
+    assert called.count("gram_spectrum") == 1
+    assert {"a_max", "_interval", "_spectrum"}.isdisjoint(called)
+
+
 def test_functional_gram_is_only_the_order_oracle():
     """``functional_gram`` contracts (g(b_i* b_j))_ij on its own, rounding
     apart from a record's ``invol @ (w @ L)``: only ``functional_leq`` calls
