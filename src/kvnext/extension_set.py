@@ -123,10 +123,12 @@ def in_interval(
     and the two agree on the domain, so X lies in [a_n, a_max] exactly when
     X D = Ad, X >= 0 and X <= B.  Those three are decided on the candidate's
     Hermitian part, in that order, once the bound passes the check of
-    :func:`a_max`: ||X D - Ad||_F by the cmp_tol rule at ||Ad||_F (an
-    overflowed residual raises ResultOutOfRange), then the PSD rule on X
-    and the Loewner rule on B - X.  ``p`` is factored once; a_max is not
-    built.
+    :func:`a_max`: each column of X D - Ad by the cmp_tol rule on D's column
+    at unit length, at the scale ||X||_F + ||Ad e_j|| / ||D e_j|| it rounds
+    at (an overflowed residual raises ResultOutOfRange); then the PSD rule
+    on X; then the Loewner rule on B - X with psd_tol times B's largest
+    entry of slack, the scale a_max rounds at.  ``p`` is factored once;
+    a_max is not built.
     """
     cm = nc.as_matrix(candidate, "candidate")
     if cm.shape != (p.n, p.n):
@@ -135,14 +137,22 @@ def in_interval(
     # candidate costs no factorization
     h = nc._hermitian_part(cm, "candidate", cfg)
     hb = _checked_bound(gram_spectrum(p, cfg), b, stacklevel=3)[1]
+    d, ad = p.domain_basis, p.action
     with np.errstate(over="ignore", invalid="ignore"):  # tested just below
-        norms = np.array([nc.fro(h @ p.domain_basis - p.action), nc.fro(p.action)])
+        norms = np.stack([nc._norms(h @ d - ad, 0), nc._norms(ad, 0)])
+        # an infinite ||X||_F passes a finite residual; X <= B then decides
+        x_scale = nc.fro(h)
     # an overflowed residual or scale would compare as a verdict
     residual, scale = nc._finite(norms, "residual X D - Ad")
+    # column j at unit length: the residual rounds at ||X||_F, so the rule
+    # is the same on any rescaling of the domain's basis vectors
+    unit = nc._norms(d, 0)
     return bool(
-        nc._within(residual, scale, cfg.cmp_tol)
+        nc._within(residual, unit * x_scale + scale, cfg.cmp_tol, unit).all()
         and nc._psd_rule(h, cfg)[0]
-        and nc._loewner_leq(h, hb, cfg)
+        # a_max = B - a_n of the shifted operator rounds at B's entries, the
+        # largest on its diagonal, as B >= a_n >= 0
+        and nc._loewner_leq(h, hb, cfg, float(np.abs(hb.diagonal()).max(initial=0.0)))
     )
 
 

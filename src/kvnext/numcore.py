@@ -591,9 +591,13 @@ def loewner_leq(a, b, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
 # hi - lo.
 
 
-def _loewner_leq(lo: np.ndarray, hi: np.ndarray, cfg: ToleranceConfig) -> bool:
-    """lo <= hi for Hermitian parts of operands tested once each: the PSD rule on hi - lo."""
-    return _psd_rule(_finite(hi - lo, "difference hi - lo"), cfg)[0]
+def _loewner_leq(lo: np.ndarray, hi: np.ndarray, cfg: ToleranceConfig, scale: float = 0.0) -> bool:
+    """lo <= hi for Hermitian parts of operands tested once each: the PSD rule
+    on hi - lo + psd_tol * scale * I.  ``scale`` is that of data an operand
+    was rounded at, which the rule at the difference's own scale does not see."""
+    diff = hi - lo
+    diff.flat[:: diff.shape[0] + 1] += cfg.psd_tol * scale
+    return _psd_rule(_finite(diff, "difference hi - lo"), cfg)[0]
 
 
 def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:

@@ -117,10 +117,12 @@ def test_a_candidate_outside_the_interval_is_refuted_without_eigvalsh(lapack_cal
     basis = orthonormal_columns(rng, 8, 4)
     p = PartialOperator(basis, t @ basis)
     u = orthonormal_columns(rng, 8, 1)
-    # T + u u†/4 changes the action on the domain: one of the two Loewner
-    # tests fails, and a failed shifted Cholesky proves it
+    # T + u u†/4 changes the action on the domain, so the X D = Ad test
+    # refutes it: after the eigh of G, only the Cholesky certificate of
+    # B - a_n >= 0 runs, and no Loewner test
     assert not in_interval(p, t + np.eye(8), t + 0.25 * (u @ u.conj().T))
-    assert lapack_calls["eigvalsh"] == 0
+    counts = tuple(lapack_calls[k] for k in ("eigh", "eigvalsh", "svd", "cholesky"))
+    assert counts == (1, 0, 0, 1)
 
 
 def test_only_the_constructions_that_read_j_form_it(monkeypatch):
