@@ -368,6 +368,26 @@ FIXTURE_SPECS = {
     ),
 }
 
+# The strict profile's values (numcore.STRICT_TOL), set in the file: a twin of
+# one fixture per command, so that byte-identity also covers the profile
+# whose certificates take other paths.
+STRICT = {"rank_rel_eps": 1e-12, "psd_tol": 1e-11, "cmp_tol": 1e-10}
+STRICT_TWINS = (
+    "check_running2",
+    "extend_running2",
+    "extend_bounded_n12",
+    "extend_bound_too_small",
+    "complete_identity",
+    "kernel_m2_fiber8",
+    "functional_m2",
+    "functional_m3_fmax",
+    "commutation_diag",
+    "schwarz_diag",
+)
+for _name in STRICT_TWINS:
+    _command, _code, _doc = FIXTURE_SPECS[_name]
+    FIXTURE_SPECS[f"{_name}_strict"] = (_command, _code, {**_doc, "tolerances": dict(STRICT)})
+
 
 def fixture_text(name: str) -> str:
     """The fixture file of a spec, as written to ``fixtures/<name>.json``."""

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 
 from kvnext import cli
-from make_golden import FIXTURE_SPECS, fixture_text
+from kvnext import numcore as nc
+from make_golden import FIXTURE_SPECS, STRICT, STRICT_TWINS, fixture_text
 
 HERE = pathlib.Path(__file__).resolve().parent
 FIXTURES = HERE / "fixtures"
@@ -43,6 +45,14 @@ def test_every_fixture_is_its_spec_and_has_a_golden():
         assert (FIXTURES / f"{name}.json").read_text() == fixture_text(name), name
         assert (GOLDEN / f"{name}.report.json").is_file(), name
     assert sorted(p.stem for p in FIXTURES.glob("*.json")) == sorted(FIXTURE_SPECS)
+
+
+def test_strict_twins_set_the_strict_profile():
+    assert STRICT == dataclasses.asdict(nc.STRICT_TOL)
+    for name in STRICT_TWINS:
+        command, code, doc = FIXTURE_SPECS[f"{name}_strict"]
+        assert (command, code) == FIXTURE_SPECS[name][:2]
+        assert doc == {**FIXTURE_SPECS[name][2], "tolerances": STRICT}
 
 
 def _matrix(obj) -> np.ndarray:
