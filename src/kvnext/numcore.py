@@ -15,9 +15,8 @@ Conventions used across the package:
   ``psd_tol`` and ``scale`` the norm the residual's rounding grows with.
   Positivity is its PSD form, ``-min eig <= psd_tol * (1 + max|eig|)``
   (:func:`spectrum_is_psd`), which absorbs eigensolver noise; :func:`_psd_rule`
-  proves that verdict by one Cholesky of a shifted matrix when it can (one
-  that runs to completion below the floor accepts, one that fails above it
-  refutes), and ``eigvalsh`` decides only the band between the two shifts.
+  accepts by one certificate, a Cholesky of a shifted matrix that runs to
+  completion, and else ``eigvalsh`` decides.
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -438,97 +437,55 @@ def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np
 # psd_tol = 0 no w is negative.  Underflow in the products adds an absolute
 # error of order n^2 2^-1074 (1 + f), below u f once f >= 2^-500; with
 # f <= 2^500 no entry, product or partial sum overflows.  Outside those
-# limits, for n = 0 and for n > 1024 the certificate is skipped.  With
-# psd_tol > 0 it is also skipped when S > |floor| / 2, where c would pass no
-# exactly singular h.  For spectra of comparable magnitudes (s / f near
-# sqrt(n)) that happens at DEFAULT_TOL (1e-9) only for n above about 1000,
-# and at STRICT_TOL (1e-11) from n near 80 on.
+# limits, for n = 0 and for n > 1024 the certificate is skipped.  Where
+# S > |floor| / 2, c would pass no exactly singular h, and the certificate
+# is the one at floor 0 instead, whose success proves that no w is negative.
+# For spectra of comparable magnitudes (s / f near sqrt(n)) that happens at
+# DEFAULT_TOL (1e-9) only for n above about 1000, and at STRICT_TOL (1e-11)
+# from n near 80 on.
 _PSD_MAX_N = 1024
-
-
-def _psd_certificate_norm(h: np.ndarray) -> float | None:
-    """||h||_F if the PSD certificates apply: n <= 1024, ||h||_F in [2^-500, 2^500]."""
-    if not 0 < h.shape[0] <= _PSD_MAX_N:
-        return None
-    with np.errstate(over="ignore", under="ignore"):  # tested just below
-        f = fro(h)
-    return f if 2.0**-500 <= f <= 2.0**500 else None  # None for a NaN norm too
 
 
 def _cholesky_certifies_psd(h: np.ndarray, psd_tol: float) -> bool:
     """Whether one Cholesky of h - c I proves that every eigenvalue
-    ``eigvalsh(h)`` returns is at least -psd_tol * (1 + L) (see the bound
-    above).  ``h``, exactly Hermitian, is shifted in place and restored."""
-    f = _psd_certificate_norm(h)
-    if f is None:
-        return False
+    ``eigvalsh(h)`` returns is at least -psd_tol * (1 + L), or at least 0
+    where that floor is too close to 0 (see the bound above).  ``h``, exactly
+    Hermitian, is shifted in place and restored."""
     n = h.shape[0]
+    if not 0 < n <= _PSD_MAX_N:
+        return False
+    with np.errstate(over="ignore", under="ignore"):  # tested just below
+        f = fro(h)
+    if not 2.0**-500 <= f <= 2.0**500:  # also false for a NaN norm
+        return False
     s = float(np.abs(h.diagonal()).sum())
     e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
     floor = -psd_tol * (1.0 + max(0.99 * f / math.sqrt(n) - e, 0.0))
     slack = 1.25 * (e + 5.0 * (n + 1) * _UNIT_ROUNDOFF * (f + s - (n + 2) * floor))
-    if floor < 0.0 and slack > -floor / 2:  # no exactly singular h would pass
-        return False
+    if slack > -floor / 2:  # no exactly singular h would pass: certify at floor 0
+        floor, slack = 0.0, 1.25 * (e + 5.0 * (n + 1) * _UNIT_ROUNDOFF * (f + s))
     return _shifted_cholesky_runs(h, -(floor + slack))
 
 
-# Refuting certificate.  With h, f, n, u and e as above, let c > 0 and
-# A = fl(h + c I); the shift rounds each diagonal entry once, so
-# A = h + c I + dD with dD diagonal, ||dD||_2 <= u (f + c), and every
-# A_ii <= (1 + u) (f + c).  Demmel's theorem (Higham, 2nd ed., Thm 10.7)
-# says that the Cholesky factorization of a Hermitian A with positive
-# diagonal runs to completion, barring underflow and overflow, when
-# lambda_min(D^-1 A D^-1) > n gamma_{n+1} / (1 - gamma_{n+1}), D = diag(A)^1/2;
-# complex arithmetic at most quadruples the constant, and for n <= 1024 it
-# stays below 4.1 n (n + 1) u.  Since lambda_min(D^-1 A D^-1) >=
-# lambda_min(A) / max A_ii whenever lambda_min(A) > 0, a Cholesky that fails
-# proves lambda_min(A) <= 4.1 n (n + 1) u max A_ii, hence
-#     lambda_min(h) <= -c + delta (f + c),   delta = 4.2 (n + 1)^2 u.
-# eigvalsh then returns some w <= lambda_min(h) + e, and max|w| <= f + e, so
-# the rule of spectrum_is_psd fails when -c + delta (f + c) + e lies below
-# -psd_tol (1 + f + e).  The code takes
-#     c = 1.25 (psd_tol (1 + f + e) + e + delta f),
-# for which c (1 - delta) exceeds that requirement by at least 0.19 c: far
-# more than the rounding of f, e and c (relative errors of at most n^2 u), of
-# the rule's own comparison (a few u), and the absolute error of order
-# n^2 2^-1074 (1 + f) that underflow adds, below u f once f >= 2^-500.  So a
-# failed Cholesky proves that the rule rejects h.  The guards are those of
-# the PSD certificate: n in (0, 1024] and f in [2^-500, 2^500], where no
-# entry, product or partial sum of A overflows.
-
-
-def _cholesky_refutes_psd(h: np.ndarray, psd_tol: float) -> bool:
-    """Whether one failed Cholesky of h + c I proves that some eigenvalue
-    ``eigvalsh(h)`` returns lies below -psd_tol * (1 + max|w|) (see the bound
-    above).  ``h``, exactly Hermitian, is shifted in place and restored."""
-    f = _psd_certificate_norm(h)
-    if f is None:
-        return False
-    n = h.shape[0]
-    e = 32.0 * (n + 1) * _UNIT_ROUNDOFF * f
-    demmel = 4.2 * (n + 1) ** 2 * _UNIT_ROUNDOFF * f
-    return not _shifted_cholesky_runs(h, 1.25 * (psd_tol * (1.0 + f + e) + e + demmel))
-
-
 # The PSD flow, the one home of every positivity verdict on an exactly
-# Hermitian matrix: the accepting certificate, then the refuting one, then
-# eigvalsh and spectrum_is_psd only when neither decides.  The certificates
-# are looked up in this module's namespace at each call, so replacing them
-# here (as the eigvalsh-only reference of the tests does) switches them off.
-# A marginal test (the bound check of extension_set._checked_bound) accepts by
-# certificate only at floor 0, which proves that no eigenvalue eigvalsh would
-# return is negative; a spectrum that passes only within psd_tol reaches
-# eigvalsh, and its least eigenvalue flags the tolerance-marginal warning.
+# Hermitian matrix: one certificate, else eigvalsh and spectrum_is_psd.  The
+# certificate is looked up in this module's namespace at each call, so
+# replacing it here (as the eigvalsh-only reference of the tests does)
+# switches it off.  A marginal test (the bound check of
+# extension_set._checked_bound) accepts by certificate only at floor 0, which
+# proves that no eigenvalue eigvalsh would return is negative; a spectrum
+# that passes only within psd_tol reaches eigvalsh, and its least eigenvalue
+# flags the tolerance-marginal warning.  A spectrum that overflowed decides
+# nothing: an eigenvalue of -inf would pass the rule at max|w| = inf.
 
 
 def _psd_rule(h: np.ndarray, cfg: ToleranceConfig, marginal: bool = False) -> tuple[bool, float]:
     """(whether the exactly Hermitian ``h`` passes :func:`spectrum_is_psd`, the least
-    eigenvalue ``eigvalsh`` returned, or +inf where a certificate decided)."""
+    eigenvalue ``eigvalsh`` returned, or +inf where the certificate decided);
+    ResultOutOfRange when an eigenvalue is not finite."""
     if _cholesky_certifies_psd(h, 0.0 if marginal else cfg.psd_tol):
         return True, math.inf
-    if _cholesky_refutes_psd(h, cfg.psd_tol):
-        return False, math.inf
-    w = np.linalg.eigvalsh(h)
+    w = _finite(np.linalg.eigvalsh(h), "spectrum")
     return spectrum_is_psd(w, cfg), float(w.min(initial=math.inf))
 
 

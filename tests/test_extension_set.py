@@ -68,11 +68,18 @@ def test_bound_too_small_carries_certificate():
 def test_a_bound_too_small_factors_its_gap_once(lapack_calls):
     with pytest.raises(BoundTooSmall, match=r"violation -1\.000e\+00 along"):
         a_max(RUN2, np.eye(2))
-    # the Gram's spectrum decides the rank of D, then the two certificates of
-    # the gap: the refuting one decides, and one eigh of the gap gives the
-    # message and the direction (the other eigh is the Gram's)
+    # the Gram's spectrum decides the rank of D; the certificate of the gap
+    # fails, eigvalsh decides, and one eigh of the gap gives the message and
+    # the direction (the other eigh is the Gram's)
     counts = tuple(lapack_calls[k] for k in ("cholesky", "eigvalsh", "eigh"))
-    assert counts == (2, 0, 2)
+    assert counts == (1, 1, 2)
+
+
+def test_a_singular_bound_gap_pays_one_certificate(lapack_calls):
+    # B - a_n = [[0, 0], [0, 1]] is PSD but singular: the certificate at
+    # floor 0 cannot prove it, and eigvalsh decides with no second Cholesky
+    a_max(RUN2, [[1.0, 1.0], [1.0, 2.0]])
+    assert (lapack_calls["cholesky"], lapack_calls["eigvalsh"]) == (1, 1)
 
 
 def test_a_non_hermitian_candidate_is_rejected_before_any_factorization(lapack_calls):

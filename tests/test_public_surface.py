@@ -117,11 +117,10 @@ def test_the_image_of_u_has_one_home():
 
 
 def test_the_psd_flow_has_one_home():
-    """The PSD flow (accepting certificate, refuting certificate, then
-    ``eigvalsh``) is written once, in ``numcore._psd_rule``: no other module
-    names a certificate, and the Loewner statements of ``extension_set``
+    """The PSD flow (one certificate, else ``eigvalsh``) is written once, in
+    ``numcore._psd_rule``: no other module names the certificate, and the Loewner statements of ``extension_set``
     (``_interval`` and ``in_interval``) reach every eigensolver through numcore."""
-    certificates = {"_cholesky_certifies_psd", "_cholesky_refutes_psd"}
+    certificates = {"_cholesky_certifies_psd"}
     solvers = {f"{np_}.linalg.{name}" for np_ in ("np", "numpy") for name in ("eigh", "eigvalsh")}
     found = []
     for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
