@@ -35,9 +35,7 @@ from .kvn import (
 from .numcore import (
     DEFAULT_TOL,
     STRICT_TOL,
-    HermitianEigen,
     ToleranceConfig,
-    hermitian_eigen,
     is_psd,
     loewner_leq,
     psd_sqrt,

@@ -74,7 +74,7 @@ def _checked_bound(spec: GramSpectrum, b, stacklevel: int) -> tuple[np.ndarray, 
     gap = nc._finite(hb - a_n, "gap B - a_n")
     dominates, least = nc._psd_rule(gap, cfg, marginal=True)
     if not dominates:
-        eig = nc._eigh(gap)
+        eig = np.linalg.eigh(gap)
         raise BoundTooSmall(
             f"bound does not dominate the minimal extension "
             f"(violation {float(eig.eigenvalues[0]):.3e} along a certificate direction)",

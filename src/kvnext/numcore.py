@@ -6,6 +6,8 @@ Conventions used across the package:
 * The ambient spaces are C^n paired by the canonical anti-duality
   ``<f, x> = sum_i f[i] * conj(x[i])`` (linear in ``f``, conjugate linear
   in ``x``), so adjoints are plain conjugate transposes.
+* Every eigendecomposition is numpy's own ``np.linalg.eigh`` result, an
+  ``EighResult`` (eigenvalues ascending, eigenvectors).
 * Rank decisions are relative: an eigenvalue counts as nonzero when it
   exceeds ``rank_rel_eps`` times the largest eigenvalue (:func:`_kept`).
   Gram matrices of partial operators scale the cutoff by the data
@@ -14,9 +16,10 @@ Conventions used across the package:
   it is at most ``tol * (1 + scale)``, ``tol`` being ``cmp_tol`` or
   ``psd_tol`` and ``scale`` the norm the residual's rounding grows with.
   Positivity is its PSD form, ``-min eig <= psd_tol * (1 + max|eig|)``
-  (:func:`spectrum_is_psd`), which absorbs eigensolver noise; :func:`_psd_rule`
-  accepts by one certificate, a Cholesky of a shifted matrix that runs to
-  completion, and else ``eigvalsh`` decides.
+  (:func:`spectrum_is_psd`), which absorbs eigensolver noise and raises
+  ResultOutOfRange on a spectrum that overflowed; :func:`_psd_rule` accepts by
+  one certificate, a Cholesky of a shifted matrix that runs to completion,
+  and else ``eigvalsh`` decides.
 
 Every function is pure and deterministic for a fixed input.
 """
@@ -25,10 +28,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NotHermitian, NotPsd, NotSquare, ResultOutOfRange, ShapeMismatch
+
+if TYPE_CHECKING:
+    from numpy.linalg._linalg import EighResult
 
 
 @dataclass(frozen=True)
@@ -53,14 +60,6 @@ class ToleranceConfig:
 
 DEFAULT_TOL = ToleranceConfig()
 STRICT_TOL = ToleranceConfig(rank_rel_eps=1e-12, psd_tol=1e-11, cmp_tol=1e-10)
-
-
-@dataclass(frozen=True)
-class HermitianEigen:
-    """Spectral decomposition M = V diag(w) V†, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -165,28 +164,12 @@ def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    """Whether eigenvalues ``w`` pass min w >= -psd_tol * (1 + max|w|)."""
-    if w.size == 0:
+    """Whether eigenvalues ``w`` pass min w >= -psd_tol * (1 + max|w|);
+    ResultOutOfRange when one is not finite, since a spectrum that overflowed
+    decides nothing: -inf would pass the rule at max|w| = inf."""
+    if _finite(w, "spectrum").size == 0:
         return True
     return _within(-float(w.min()), float(np.abs(w).max()), cfg.psd_tol)
-
-
-def hermitian_eigen(m, cfg: ToleranceConfig = DEFAULT_TOL) -> HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    The input is symmetrized before factorization so that the result is a
-    function of the Hermitian part only; inputs whose anti-Hermitian part
-    exceeds ``cmp_tol`` relative are rejected.
-    """
-    residual, h = _checked_herm(as_matrix(m), cfg)
-    if h is None:
-        raise NotHermitian(f"symmetry residual {residual:.3e} exceeds tolerance")
-    return _eigh(h)
-
-
-def _eigh(h: np.ndarray) -> HermitianEigen:
-    """``eigh`` of a matrix already exactly Hermitian, with no test of its own."""
-    return HermitianEigen(*np.linalg.eigh(h))
 
 
 def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarray | None]:
@@ -381,7 +364,7 @@ def _above_data_cut(
     return ev > eps * max(top, scale)
 
 
-def _split(eig: HermitianEigen, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _split(eig: EighResult, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lam, u, rest): the eigenpairs selected by the mask ``keep``, in
     descending order, and the other eigenvectors."""
     lam = eig.eigenvalues[keep][::-1].copy()
@@ -389,7 +372,7 @@ def _split(eig: HermitianEigen, keep: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return lam, u, eig.eigenvectors[:, ~keep].copy()
 
 
-def _kept(eig: HermitianEigen, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
+def _kept(eig: EighResult, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs above rank_rel_eps * max(largest eigenvalue, 0), descending."""
     top = float(eig.eigenvalues.max(initial=0.0))
     return _split(eig, eig.eigenvalues > cfg.rank_rel_eps * top)[:2]
@@ -475,8 +458,7 @@ def _cholesky_certifies_psd(h: np.ndarray, psd_tol: float) -> bool:
 # extension_set._checked_bound) accepts by certificate only at floor 0, which
 # proves that no eigenvalue eigvalsh would return is negative; a spectrum
 # that passes only within psd_tol reaches eigvalsh, and its least eigenvalue
-# flags the tolerance-marginal warning.  A spectrum that overflowed decides
-# nothing: an eigenvalue of -inf would pass the rule at max|w| = inf.
+# flags the tolerance-marginal warning.
 
 
 def _psd_rule(h: np.ndarray, cfg: ToleranceConfig, marginal: bool = False) -> tuple[bool, float]:
@@ -485,7 +467,7 @@ def _psd_rule(h: np.ndarray, cfg: ToleranceConfig, marginal: bool = False) -> tu
     ResultOutOfRange when an eigenvalue is not finite."""
     if _cholesky_certifies_psd(h, 0.0 if marginal else cfg.psd_tol):
         return True, math.inf
-    w = _finite(np.linalg.eigvalsh(h), "spectrum")
+    w = np.linalg.eigvalsh(h)
     return spectrum_is_psd(w, cfg), float(w.min(initial=math.inf))
 
 
@@ -495,14 +477,15 @@ def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return h is not None and _psd_rule(h, cfg)[0]
 
 
-def _psd_eigen(m, cfg: ToleranceConfig) -> HermitianEigen:
+def _psd_eigen(m, cfg: ToleranceConfig) -> EighResult:
     """``eigh`` of a matrix that passes :func:`is_psd`, the test read off its
-    eigenvalues; raises NotPsd otherwise, also for non-Hermitian input."""
+    eigenvalues; raises NotPsd otherwise, also for non-Hermitian input, and
+    ResultOutOfRange when the spectrum overflowed."""
     h = _checked_herm(as_matrix(m), cfg)[1]  # raises NotSquare first
     if h is not None:
-        w, v = np.linalg.eigh(h)
-        if spectrum_is_psd(w, cfg):
-            return HermitianEigen(eigenvalues=w, eigenvectors=v)
+        eig = np.linalg.eigh(h)
+        if spectrum_is_psd(eig.eigenvalues, cfg):
+            return eig
     raise NotPsd("matrix is not positive semidefinite within tolerance")
 
 
@@ -516,13 +499,13 @@ def psd_sqrt(m, cfg: ToleranceConfig = DEFAULT_TOL) -> np.ndarray:
     return _sqrt(_psd_eigen(m, cfg), cfg)
 
 
-def _sqrt(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+def _sqrt(eig: EighResult, cfg: ToleranceConfig) -> np.ndarray:
     """:func:`psd_sqrt` read off the eigendecomposition of a PSD matrix."""
     lam, u = _kept(eig, cfg)
     return _herm((u * np.sqrt(lam)) @ u.conj().T)
 
 
-def _sqrt_pinv(eig: HermitianEigen, cfg: ToleranceConfig) -> np.ndarray:
+def _sqrt_pinv(eig: EighResult, cfg: ToleranceConfig) -> np.ndarray:
     """Pseudo-inverse square root M^{+1/2}, supported on the numerical range,
     read off the eigendecomposition of a PSD matrix."""
     lam, u = _kept(eig, cfg)

@@ -38,7 +38,6 @@ from .errors import (
     NonHermitianGram,
     NonPsdGram,
     NotExtendible,
-    NotHermitian,
     RankDeficientDomain,
     ShapeMismatch,
 )
@@ -123,11 +122,14 @@ class ExtendibilityReport:
 
 def _validated(
     p: PartialOperator, cfg: ToleranceConfig, accepted=None
-) -> tuple[ValidationReport, nc.HermitianEigen | None, tuple]:
-    """The one validation pass, plus what it computed along the way: the eigh
-    of G that the PSD test read (None when G is not Hermitian) and the
-    sigma_max brackets of D and Ad.  ``accepted`` is the bracket of a D that
-    an earlier pass accepted: it stands for D's, and the rank test is skipped.
+) -> tuple[ValidationReport, nc.EighResult | None, tuple]:
+    """The one validation pass, plus what it computed along the way: numpy's
+    eigh of the Hermitian part of G, which the PSD test read (None when G is
+    not Hermitian), and the sigma_max brackets of D and Ad.  A G that is not
+    finite raises ShapeMismatch before any eigensolver runs, and a spectrum
+    that overflowed raises ResultOutOfRange (``numcore.spectrum_is_psd``).
+    ``accepted`` is the bracket of a D that an earlier pass accepted: it
+    stands for D's, and the rank test is skipped.
     Otherwise ``full_column_rank`` runs only when
     ``numcore._gram_certifies_rank`` cannot read the rank off G; a missing
     bracket (None: entries whose squares overflow or underflow) re-runs the
@@ -136,10 +138,8 @@ def _validated(
     g = p.gram()
     d_bracket = nc._sigma_max_bracket(p.domain_basis) if accepted is None else accepted
     brackets = d_bracket, nc._sigma_max_bracket(p.action)
-    try:
-        eig = nc.hermitian_eigen(g, cfg)  # the one Hermitian test of G
-    except NotHermitian:
-        eig = None
+    h = nc._checked_herm(nc.as_matrix(g), cfg)[1]  # the one Hermitian test of G
+    eig = None if h is None else np.linalg.eigh(h)
     decided = accepted is not None or (
         eig is not None and nc._gram_certifies_rank(eig.eigenvalues, p.n, brackets, cfg)
     )
@@ -162,7 +162,7 @@ def validate(p: PartialOperator, cfg: ToleranceConfig = DEFAULT_TOL) -> Validati
 class GramSpectrum:
     """One validated factorization of G = D† Ad, split at the rank cutoff.
 
-    eig:      the eigendecomposition of G that validation computed
+    eig:      numpy's eigh of the Hermitian part of G, computed by validation
     lam, u:   kept eigenvalues of G (descending) and their eigenvectors
     kernel:   eigenvectors of the eigenvalues at or below the cutoff
     witness:  normalized image Ad v of the kernel direction v that Ad
@@ -176,7 +176,7 @@ class GramSpectrum:
     op: PartialOperator
     cfg: ToleranceConfig
     gram: np.ndarray
-    eig: nc.HermitianEigen
+    eig: nc.EighResult
     lam: np.ndarray
     u: np.ndarray
     kernel: np.ndarray

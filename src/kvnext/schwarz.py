@@ -43,7 +43,7 @@ class _Family:
     square root, so the gap and the estimate read the same factorizations."""
 
     mats: list[np.ndarray]
-    eigens: list[nc.HermitianEigen]
+    eigens: list[nc.EighResult]
     cfg: ToleranceConfig
 
     @classmethod

@@ -428,7 +428,7 @@ class _Problem:
             # the least eigenvector of that Gram, which is Ad as D = I
             raise BoundNotDominating(
                 "bound functional does not dominate the minimal extension",
-                certificate=nc._eigh(nc._herm(whole._action(head))).eigenvectors[:, 0],
+                certificate=np.linalg.eigh(nc._herm(whole._action(head))).eigenvectors[:, 0],
             ) from exc
         result = gv - self.record(self.ideal.basis.T @ gv - rec.w).f_n
         for name, candidate in (("g - f_N", head), ("f_max", result)):

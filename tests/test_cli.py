@@ -398,6 +398,27 @@ def test_check_whose_hilbert_bound_overflows_is_invalid_input(tmp_path):
     assert report["diagnostics"] == ["Hilbert bound: j† j overflows the float range"]
 
 
+def test_check_whose_gram_spectrum_overflows_is_invalid_input(tmp_path):
+    # D = I, Ad = -1e308 [[1, 1], [1, 1]]: G is finite, its eigenvalue -2e308 is not
+    row = [[-1e308, 0.0], [-1e308, 0.0]]
+    problem = {
+        "schema_version": "1",
+        "kind": "partial_operator",
+        "payload": {
+            "dim": 2,
+            "domain_basis": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+            "action": [row, row],
+        },
+    }
+    src = tmp_path / "problem.json"
+    src.write_text(json.dumps(problem))
+    out = tmp_path / "r.json"
+    assert cli.main(["check", str(src), "--out", str(out)]) == 1
+    report = json.loads(out.read_text())
+    assert (report["status"], report["result"]) == ("invalid_input", {})
+    assert report["diagnostics"] == ["spectrum overflows the float range"]
+
+
 def test_result_out_of_float_range_is_invalid_input(tmp_path):
     # D = 1e-200 e_1, Ad = 1e200 e_1: a_n = Ad G^+ Ad† has the entry 1e400
     problem = {

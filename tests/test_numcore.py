@@ -20,38 +20,17 @@ def test_tolerance_config_rejects_bad_values():
         nc.ToleranceConfig(cmp_tol=1.5)
 
 
-def test_eigen_identity():
-    eig = nc.hermitian_eigen(np.eye(2))
-    assert np.allclose(eig.eigenvalues, [1.0, 1.0])
-    v = eig.eigenvectors
-    assert np.allclose(v.conj().T @ v, np.eye(2), atol=1e-12)
-
-
-def test_eigen_pauli_x():
-    eig = nc.hermitian_eigen(np.array([[0.0, 1.0], [1.0, 0.0]]))
-    assert np.allclose(eig.eigenvalues, [-1.0, 1.0])
-
-
-def test_eigen_reconstruction_random():
-    m = random_hermitian(rng_for(7), 6)
-    eig = nc.hermitian_eigen(m)
-    rebuilt = (eig.eigenvectors * eig.eigenvalues) @ eig.eigenvectors.conj().T
-    assert np.max(np.abs(rebuilt - m)) <= 1e-10
-
-
 def test_eigen_rejects_non_hermitian_and_non_square():
-    with pytest.raises(NotHermitian):
-        nc.hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(NotSquare):
-        nc.hermitian_eigen(np.zeros((2, 3)))
-
-
-def test_eigen_deterministic_bitwise():
-    m = random_hermitian(rng_for(3), 5)
-    a = nc.hermitian_eigen(m)
-    b = nc.hermitian_eigen(m.copy())
-    assert np.array_equal(a.eigenvalues, b.eigenvalues)
-    assert np.array_equal(a.eigenvectors, b.eigenvectors)
+    # every eigendecomposition of an input is of the Hermitian part that
+    # _checked_herm forms, None for a non-Hermitian matrix
+    shift = np.array([[0.0, 1.0], [0.0, 0.0]])
+    assert not nc.is_hermitian(shift)
+    assert nc._checked_herm(nc.as_matrix(shift), CFG)[1] is None
+    with pytest.raises(NotPsd):
+        nc._psd_eigen(shift, CFG)
+    for fn in (nc.is_hermitian, lambda m: nc._checked_herm(nc.as_matrix(m), CFG)):
+        with pytest.raises(NotSquare):
+            fn(np.zeros((2, 3)))
 
 
 def test_is_psd_examples():
@@ -130,7 +109,7 @@ def test_sqrt_and_matrix_share_range():
         m = random_psd(rng, n, rank=int(rng.integers(0, n + 1)))
         s = nc.psd_sqrt(m)
         for x, y in ((m, s), (s, m)):
-            kept = nc._kept(nc.hermitian_eigen(y), CFG)[1]
+            kept = nc._kept(np.linalg.eigh(nc._herm(y)), CFG)[1]
             assert nc._span_coords(x, kept, CFG) is not None
 
 
@@ -219,13 +198,12 @@ def test_hermitian_rule_holds_where_the_norm_overflows(p):
     herm = np.array([[1.0, 0.9j], [-0.9j, 1.0]]) * 2.0**p
     assert not nc.is_hermitian(skew, CFG)
     assert not nc.is_psd(skew, CFG)
-    with pytest.raises(NotHermitian):
-        nc.hermitian_eigen(skew, CFG)
+    assert nc._checked_herm(skew, CFG)[1] is None
     with pytest.raises(NotPsd):
         nc._psd_eigen(skew, CFG)
     assert nc.is_hermitian(herm, CFG)
     assert nc.is_psd(herm, CFG)
-    assert nc.hermitian_eigen(herm, CFG).eigenvalues == pytest.approx(
+    assert np.linalg.eigh(nc._checked_herm(herm, CFG)[1]).eigenvalues == pytest.approx(
         np.array([0.1, 1.9]) * 2.0**p, rel=1e-12
     )
     # a residual well within cmp_tol of the scale passes, one several times above it fails

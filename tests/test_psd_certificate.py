@@ -15,9 +15,19 @@ import warnings
 import numpy as np
 import pytest
 
-from kvnext import PartialOperator, a_max, in_interval, krein_von_neumann
+from kvnext import (
+    PartialOperator,
+    a_max,
+    gram_spectrum,
+    in_interval,
+    is_extendible,
+    krein_von_neumann,
+    minimal_constant_estimate,
+    psd_sqrt,
+    validate,
+)
 from kvnext import numcore as nc
-from kvnext.errors import ResultOutOfRange
+from kvnext.errors import ResultOutOfRange, ShapeMismatch
 from util_gen import orthonormal_columns, random_psd, random_unitary, rng_for
 
 TOLS = [nc.DEFAULT_TOL, nc.STRICT_TOL]
@@ -191,15 +201,34 @@ def test_the_strict_profile_decides_a_clear_case_by_certificate(lapack_calls):
 @pytest.mark.parametrize(
     "fn, args",
     [
-        (nc.is_psd, (-1e308 * np.ones((2, 2)),)),
-        (nc.loewner_leq, (1e308 * np.ones((2, 2)), 3.0 * np.eye(2))),
+        pytest.param(nc.is_psd, (-1e308 * np.ones((2, 2)),), id="is_psd"),
+        pytest.param(nc.loewner_leq, (1e308 * np.ones((2, 2)), 3.0 * np.eye(2)), id="loewner_leq"),
+        pytest.param(psd_sqrt, (-1e308 * np.ones((2, 2)),), id="psd_sqrt"),
+        pytest.param(
+            minimal_constant_estimate, ([-1e308 * np.ones((2, 2))], 50, 0), id="minimal_constant_estimate"
+        ),
+    ]
+    + [
+        # G = +-1e308 [[1, 1], [1, 1]] is finite; its eigenvalue +-2e308 is not
+        pytest.param(fn, (PartialOperator(np.eye(2), s * np.ones((2, 2))),), id=f"{fn.__name__}-{sign}")
+        for fn in (validate, gram_spectrum, is_extendible, krein_von_neumann)
+        for sign, s in (("pos", 1e308), ("neg", -1e308))
     ],
-    ids=["is_psd", "loewner_leq"],
 )
 def test_an_overflowed_spectrum_decides_nothing(fn, args):
-    # eigvalsh returns -inf, which the rule would pass at max|w| = inf
+    # the eigensolver returns -inf or +inf, and the rule would pass -inf at
+    # max|w| = inf
     with pytest.raises(ResultOutOfRange, match="spectrum overflows"):
         fn(*args)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # G = D† Ad overflows
+@pytest.mark.parametrize("fn", [validate, gram_spectrum])
+def test_an_overflowed_gram_is_refused_before_the_eigensolver(fn, lapack_calls):
+    p = PartialOperator(1e200 * np.eye(2), 1e200 * np.eye(2))  # G = inf I
+    with pytest.raises(ShapeMismatch, match="matrix contains non-finite entries"):
+        fn(p)
+    assert lapack_calls["eigh"] == lapack_calls["eigvalsh"] == 0
 
 
 def test_certificate_restores_the_diagonal_and_keeps_its_guards():

@@ -30,7 +30,7 @@ def test_readme_lists_exactly_the_public_names():
     }
     listed = _readme_entry_points()
     assert listed == exported, (sorted(listed - exported), sorted(exported - listed))
-    assert len(exported) == 53
+    assert len(exported) == 51
 
 
 def test_the_hermitian_part_has_one_home():
