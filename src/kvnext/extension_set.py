@@ -101,7 +101,7 @@ def _interval(spec: GramSpectrum, b) -> IntervalResult:
     return IntervalResult(
         a_n=a_n,
         a_max=top,
-        degenerate=nc._within(nc.fro(top - a_n), nc.fro(a_n), cfg.cmp_tol),
+        degenerate=bool(nc._close(top, a_n, cfg.cmp_tol, axis=None, scale_x=False)),
     )
 
 

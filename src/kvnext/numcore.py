@@ -15,6 +15,8 @@ Conventions used across the package:
 * Every tolerance test is one rule, :func:`_within`: a residual passes when
   it is at most ``tol * (1 + scale)``, ``tol`` being ``cmp_tol`` or
   ``psd_tol`` and ``scale`` the norm the residual's rounding grows with.
+  A test ||x - y|| that can overflow is :func:`_close`, which decides it on
+  data rescaled by :func:`_pow2_unit`'s exact power of two.
   Positivity is its PSD form, ``-min eig <= psd_tol * (1 + max|eig|)``
   (:func:`spectrum_is_psd`), which absorbs eigensolver noise and raises
   ResultOutOfRange on a spectrum that overflowed; :func:`_psd_rule` accepts by
@@ -127,40 +129,38 @@ def _within(residual, scale, tol: float, unit=1.0):
     """The tolerance rule residual <= tol * (unit + scale), entry by entry on
     arrays; ``unit`` is 1 except on data rescaled by 2^-e, where it is 2^-e.
     NaN never passes; an infinite residual passes only an infinite scale, so
-    callers whose norms can overflow decide that case first."""
+    a test whose norms can overflow goes through :func:`_close`, which
+    decides that case on rescaled data."""
     return residual <= tol * (unit + scale)
 
 
-def hermitian_residual(m: np.ndarray) -> float:
-    """||m - m†||_F."""
-    r = _adjoint(m)
-    np.subtract(m, r, out=r)
-    return fro(r)
+def _pow2_unit(x: np.ndarray, axis=None) -> np.ndarray:
+    """2^-e for e the exponent that brings the largest entry of ``x``, or of
+    each slice along ``axis`` (dimensions kept), into [1/2, 1), with e
+    clamped at -1000 so that 2^-e stays finite: the one exact rescale, after
+    which no square of an entry overflows."""
+    exp = np.frexp(np.abs(x).max(axis, keepdims=True))[1]
+    return np.ldexp(1.0, -np.maximum(exp, -1000))
+
+
+def _close(x, y, tol: float, axis=-1, scale_x=True, unit=None):
+    """||x - y|| within tol at scale ||x|| + ||y||, or ||y|| alone unless
+    ``scale_x``: per slice along ``axis``, or over the whole array in
+    Frobenius norm (:func:`fro`) for ``axis=None``.  Where a norm overflows,
+    the rule is decided on x and y times ``unit``, :func:`_pow2_unit` of the
+    larger of the two per slice."""
+    norm = fro if axis is None else lambda v: _norms(v, axis)
+    with np.errstate(over="ignore"):  # a norm that overflows is decided below
+        resid, scale = norm(x - y), norm(y)
+        scale = norm(x) + scale if scale_x else scale
+    if unit is not None or np.isfinite(resid + scale).all():
+        return _within(resid, scale, tol, 1.0 if unit is None else unit.squeeze(axis))
+    unit = np.minimum(_pow2_unit(x, axis), _pow2_unit(y, axis))
+    return _close(x * unit, y * unit, tol, axis, scale_x, unit)
 
 
 def is_hermitian(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
-    return _checked_herm(as_matrix(m), cfg)[1] is not None
-
-
-def _hermitian_within(a: np.ndarray, residual: float, scale: float, cfg: ToleranceConfig) -> bool:
-    """The Hermitian rule ||a - a†||_F <= cmp_tol (1 + ||a||_F), ``residual``
-    and ``scale`` being the two norms.  Where the threshold overflows, the
-    same rule is decided on a 2^-e, e the exponent of the largest entry of
-    a: the scaling is exact and no norm of the scaled matrix overflows."""
-    if math.isfinite(scale):
-        return _within(residual, scale, cfg.cmp_tol)
-    s, e = _pow2_scaled(a.copy())
-    return _within(hermitian_residual(s), fro(s), cfg.cmp_tol, math.ldexp(1.0, -e))
-
-
-def _pow2_scaled(m: np.ndarray) -> tuple[np.ndarray, int]:
-    """(m times 2^-e, in place; e), e the exponent that brings the largest
-    entry of m into [1/2, 1): exact, and the square of the result cannot
-    overflow."""
-    _, exp = np.frexp(np.abs(m).max())
-    for part in (m.real, m.imag) if np.iscomplexobj(m) else (m,):
-        np.ldexp(part, -exp, out=part)
-    return m, int(exp)
+    return _checked_herm(as_matrix(m), cfg) is not None
 
 
 def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
@@ -172,22 +172,25 @@ def spectrum_is_psd(w: np.ndarray, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     return _within(-float(w.min()), float(np.abs(w).max()), cfg.psd_tol)
 
 
-def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> tuple[float, np.ndarray | None]:
-    """(||a - a†||_F, Hermitian part of ``a``), the part None when
-    :func:`is_hermitian` rejects ``a``; a† is formed once for both.  The part
-    is a/2 + a†/2 where ||a||_F >= 2^1023, as only there can a + a† overflow."""
+def _checked_herm(a: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
+    """The Hermitian part of ``a``, or None when ``a`` fails the Hermitian rule
+    ||a - a†||_F <= cmp_tol (1 + ||a||_F), which :func:`_close` decides where
+    ||a||_F overflows; a† is formed once for both.  The part is a/2 + a†/2
+    where ||a||_F >= 2^1023, as only there can a + a† overflow."""
     _require_square(a, "matrix")
     adj = _adjoint(a)
-    with np.errstate(over="ignore"):  # both norms are tested by the rule
+    with np.errstate(over="ignore"):  # an infinite scale passes, and _close decides
         residual, scale = fro(a - adj), fro(a)
-        if not _hermitian_within(a, residual, scale, cfg):
-            return residual, None
-    return residual, _herm(a, adj) if scale < 2.0**1023 else 0.5 * a + 0.5 * adj
+    if not _within(residual, scale, cfg.cmp_tol) or (
+        scale == math.inf and not _close(adj, a, cfg.cmp_tol, axis=None, scale_x=False)
+    ):
+        return None
+    return _herm(a, adj) if scale < 2.0**1023 else 0.5 * a + 0.5 * adj
 
 
 def _hermitian_part(a: np.ndarray, name: str, cfg: ToleranceConfig) -> np.ndarray:
     """:func:`_checked_herm`'s Hermitian part of ``a``, or NotHermitian naming ``a``."""
-    h = _checked_herm(a, cfg)[1]
+    h = _checked_herm(a, cfg)
     if h is None:
         raise NotHermitian(f"{name} is not Hermitian within tolerance")
     return h
@@ -380,10 +383,17 @@ def _kept(eig: EighResult, cfg: ToleranceConfig) -> tuple[np.ndarray, np.ndarray
 
 def _kernel_witness(m: np.ndarray, vecs: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
     """The normalized image m v of the column v of ``vecs`` that ``m`` moves
-    most, when ``||m v||`` fails :func:`_within` at ``||m||_F``; else None."""
+    most, when ``||m v||`` fails :func:`_within` at ``||m||_F``; else None.
+    Where ||m||_F overflows, both are those of m times :func:`_pow2_unit`."""
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        scale, unit = fro(m), 1.0
+    if not math.isfinite(scale):
+        unit = _pow2_unit(m).item()
+        m = m * unit
+        scale = fro(m)
     images = m @ vecs
     norms = _norms(images, 0)
-    if _within(norms.max(initial=0.0), fro(m), cfg.cmp_tol):
+    if _within(norms.max(initial=0.0), scale, cfg.cmp_tol, unit):
         return None
     y = images[:, int(norms.argmax())]
     return y / np.linalg.norm(y)
@@ -473,7 +483,7 @@ def _psd_rule(h: np.ndarray, cfg: ToleranceConfig, marginal: bool = False) -> tu
 
 def is_psd(m, cfg: ToleranceConfig = DEFAULT_TOL) -> bool:
     """Hermitian within cmp_tol, then :func:`_psd_rule` on the Hermitian part."""
-    h = _checked_herm(as_matrix(m), cfg)[1]
+    h = _checked_herm(as_matrix(m), cfg)
     return h is not None and _psd_rule(h, cfg)[0]
 
 
@@ -481,7 +491,7 @@ def _psd_eigen(m, cfg: ToleranceConfig) -> EighResult:
     """``eigh`` of a matrix that passes :func:`is_psd`, the test read off its
     eigenvalues; raises NotPsd otherwise, also for non-Hermitian input, and
     ResultOutOfRange when the spectrum overflowed."""
-    h = _checked_herm(as_matrix(m), cfg)[1]  # raises NotSquare first
+    h = _checked_herm(as_matrix(m), cfg)  # raises NotSquare first
     if h is not None:
         eig = np.linalg.eigh(h)
         if spectrum_is_psd(eig.eigenvalues, cfg):
@@ -542,9 +552,8 @@ def _loewner_leq(lo: np.ndarray, hi: np.ndarray, cfg: ToleranceConfig, scale: fl
 
 def _span_coords(x: np.ndarray, q: np.ndarray, cfg: ToleranceConfig) -> np.ndarray | None:
     """Coordinates q† X of X over the orthonormal columns q, or None when X is
-    not in their span: ``||X - q q† X||_F`` fails :func:`_within` at ``||X||_F``."""
+    not in their span: q q† X fails :func:`_close` to X at ``||X||_F``."""
     coords = q.conj().T @ x
-    if not _within(fro(x - q @ coords), fro(x), cfg.cmp_tol):
+    if not _close(q @ coords, x, cfg.cmp_tol, axis=None, scale_x=False):
         return None
     return coords
-

@@ -138,7 +138,7 @@ def _validated(
     g = p.gram()
     d_bracket = nc._sigma_max_bracket(p.domain_basis) if accepted is None else accepted
     brackets = d_bracket, nc._sigma_max_bracket(p.action)
-    h = nc._checked_herm(nc.as_matrix(g), cfg)[1]  # the one Hermitian test of G
+    h = nc._checked_herm(nc.as_matrix(g), cfg)  # the one Hermitian test of G
     eig = None if h is None else np.linalg.eigh(h)
     decided = accepted is not None or (
         eig is not None and nc._gram_certifies_rank(eig.eigenvalues, p.n, brackets, cfg)

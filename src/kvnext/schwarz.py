@@ -86,7 +86,8 @@ class _Family:
         steps = max(int(iterations), 1) - 1
         power = None  # M^(2^i) up to scale in pass i, which reads bit i of T - 1
         while g is not None and steps:
-            power, _ = nc._pow2_scaled(vh @ v if power is None else power @ power)
+            power = vh @ v if power is None else power @ power
+            power *= nc._pow2_unit(power)
             if steps & 1:
                 g = _unit(power @ g)
             steps >>= 1

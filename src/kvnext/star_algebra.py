@@ -177,20 +177,6 @@ class GnsData:
 _ASSOC_BLOCK = 1 << 16
 
 
-def _close(x, y, tol: float, axis=-1, scale_x=True, unit=None) -> np.ndarray:
-    """Per slice along ``axis``: ||x - y|| within tol at scale ||x|| + ||y||, or
-    ||y|| alone unless ``scale_x``.  Where a norm overflows, the rule is decided
-    on each slice times ``unit`` = 2^-max(e, -1000), e the exponent of its largest entry."""
-    with np.errstate(over="ignore"):  # a norm that overflows is decided below
-        resid, scale = nc._norms(x - y, axis), nc._norms(y, axis)
-        scale = nc._norms(x, axis) + scale if scale_x else scale
-    if unit is not None or np.isfinite(resid + scale).all():
-        return nc._within(resid, scale, tol, 1.0 if unit is None else unit.squeeze(axis))
-    big = np.maximum(np.abs(x).max(axis, keepdims=True), np.abs(y).max(axis, keepdims=True))
-    unit = np.ldexp(1.0, -np.maximum(np.frexp(big)[1], -1000))
-    return _close(x * unit, y * unit, tol, axis, scale_x, unit)
-
-
 def _associative(mult: np.ndarray, tol: float) -> bool:
     """(b_i b_j) b_k = b_i (b_j b_k) for all basis triples, as GEMMs."""
     m = mult.shape[0]
@@ -201,7 +187,7 @@ def _associative(mult: np.ndarray, tol: float) -> bool:
         block = mult[lo : lo + step]
         left = (block.reshape(-1, m) @ products).reshape(-1, m)
         right = (pairs @ block).reshape(-1, m)
-        if not _close(left, right, tol).all():
+        if not nc._close(left, right, tol).all():
             return False
     return True
 
@@ -236,7 +222,7 @@ def validate_algebra(
     if u is not None:  # u b_i, then b_i u
         unit_rows = np.concatenate([np.einsum("a,aik->ik", u, mult), u @ mult])
         laws.append(("unit", unit_rows, np.concatenate([eye, eye])))
-    close = _close(*(np.concatenate([law[k] for law in laws]) for k in (1, 2)), tol)
+    close = nc._close(*(np.concatenate([law[k] for law in laws]) for k in (1, 2)), tol)
     ends = np.cumsum([0] + [len(x) for _, x, _ in laws]).tolist()
     failures += [law[0] for law, lo, hi in zip(laws, ends, ends[1:]) if not close[lo:hi].all()]
 
@@ -248,7 +234,7 @@ def validate_algebra(
         else:
             products = (mult.transpose(2, 0, 1) @ ideal.basis).reshape(m, m * p)
             coords = np.linalg.lstsq(ideal.basis, products, rcond=None)[0]
-            if _close(ideal.basis @ coords, products, tol, axis=0, scale_x=False).all():
+            if nc._close(ideal.basis @ coords, products, tol, axis=0, scale_x=False).all():
                 left = coords.reshape(p, m, p).transpose(1, 0, 2)
             else:
                 failures.append("ideal_closure")

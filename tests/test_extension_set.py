@@ -14,6 +14,7 @@ from kvnext import (
 )
 from kvnext import numcore as nc
 from kvnext.errors import BoundTooSmall, NotHermitian, NotPsd, ResultOutOfRange, ShapeMismatch
+from kvnext.extension_set import IntervalResult, _samples
 from kvnext.partial_op import gram_spectrum
 from util_gen import (
     dominating_bound,
@@ -245,6 +246,14 @@ def test_sample_extensions_endpoints_and_determinism():
         assert np.allclose(s, ONES, atol=1e-8)
 
 
+def test_samples_of_an_interval_whose_spread_is_not_psd_raise_not_psd():
+    # a_max - a_n = -I: the spread's square root fails, named for the interval
+    interval = IntervalResult(a_n=np.eye(2), a_max=0.0 * np.eye(2), degenerate=False)
+    with pytest.raises(NotPsd) as exc:
+        _samples(interval, 1, 0, nc.DEFAULT_TOL)
+    assert str(exc.value) == "interval spread a_max - a_n is not PSD within tolerance"
+
+
 def test_duality_of_extremes():
     rng = rng_for(51)
     for _ in range(15):
@@ -329,9 +338,11 @@ def test_halmos_errors():
 @pytest.mark.parametrize(
     "a11, a21",
     [
-        # the coupling overflows before the eigensolve of the bound constant
-        (np.diag([1.0, 0.5, 0.0]), [[3e300, 2e300, 1e296]]),
-        (np.eye(2), [[2.0**900, 2.0**900]]),
+        # A11 stays above the data-scale cutoff, and A21 moves ker A11 within
+        # cmp_tol only; the coupling overflows before the eigensolve of the
+        # bound constant
+        (2.0**500 * np.diag([1.0, 0.5, 0.0]), 2.0**520 * np.array([[3.0, 2.0, 2.0**-40]])),
+        (2.0**500 * np.eye(2), 2.0**520 * np.array([[1.0, 1.0]])),
     ],
 )
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||A21|| overflows as well
@@ -339,6 +350,13 @@ def test_completion_whose_coupling_overflows_raises_result_out_of_range(a11, a21
     with pytest.raises(ResultOutOfRange) as exc:
         halmos_complete(a11, a21)
     assert str(exc.value) == "coupling A11^{+1/2} A21† A21 A11^{+1/2} overflows the float range"
+
+
+@pytest.mark.parametrize("s", [1e100, 1e200])
+def test_a_column_off_ran_a11_fails_all_three_criteria_past_the_float_range(s):
+    # A21 = (0, s) moves ker A11 = span(e2); at 1e200 ||A21||_F overflows
+    report = halmos_complete(np.diag([1.0, 0.0]), [[0.0, s]])
+    assert (report.completable, report.bounded, report.range_condition) == (False, False, False)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # ||Ad||_F and the gap overflow
@@ -377,15 +395,21 @@ def test_halmos_three_way_agreement_and_kvn_consistency():
 
 def _reference_completion(a11, a21, cfg=nc.DEFAULT_TOL):
     """halmos_complete with the block side on its own eigendecomposition of
-    A11: the ||A21||-scaled kernel test, the A11^{+1/2} coupling and the range
+    A11: the ||A21||-scaled kernel test (on A21 2^-e, e the exponent of its
+    largest entry, where ||A21||_F overflows), the A11^{+1/2} coupling and the range
     condition over the kept eigenvectors; a22_min and the completion from
     the column's embedding j.  Returns what is compared, or the name of the
     error for a coupling that overflows."""
     k = a11.shape[0]
     eig = nc._psd_eigen(a11, cfg)
     kernel = eig.eigenvectors[:, ~nc._above_data_cut(eig.eigenvalues, cfg, a21)]
-    images = np.linalg.norm(a21 @ kernel, axis=0)
-    bounded = bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (1.0 + nc.fro(a21)))
+    scaled, scale, unit = a21, nc.fro(a21), 1.0
+    if not math.isfinite(scale):  # decided exactly on A21 2^-e at unit 2^-e
+        unit = 2.0 ** -int(np.frexp(np.abs(a21).max())[1])
+        scaled = a21 * unit
+        scale = nc.fro(scaled)
+    images = np.linalg.norm(scaled @ kernel, axis=0)
+    bounded = bool(np.max(images, initial=0.0) <= cfg.cmp_tol * (unit + scale))
     bound_constant = math.inf
     if bounded:
         s = nc._sqrt_pinv(eig, cfg)
@@ -470,15 +494,18 @@ def test_completion_matches_the_block_side_on_its_own_eigendecomposition():
     # of G = [I 0] [A11; A21]; the reference factors A11 itself.  They agree
     # bit for bit, also where G's zero entries differ from A11's in sign.
     kinds = ["rank_deficient", "diagonal_zeros", "planted", "a21_zero", 500, -500, 900]
-    signed_zero_blocks = overflowed = 0
+    signed_zero_blocks = rescaled_unbounded = 0
     for seed in range(1400):
         rng = rng_for(5000 + seed)
-        a11, a21 = _block(rng, kinds[seed % len(kinds)])
+        kind = kinds[seed % len(kinds)]
+        a11, a21 = _block(rng, kind)
         # compare the signs of the real and imaginary parts
         a, g = a11.view(float), _column(a11, a21).gram().view(float)
         signed_zero_blocks += bool(np.any(np.signbit(a[a == 0]) != np.signbit(g[a == 0])))
         expected = _reference_completion(a11, a21)
-        overflowed += expected == "ResultOutOfRange"
+        rescaled_unbounded += kind == 900 and expected[0] is False
         assert _completion(a11, a21) == expected, seed
     assert signed_zero_blocks >= 50
-    assert overflowed == 200  # every block with A21 scaled by 2^900
+    # every block with A21 scaled by 2^900, whose ||A21||_F overflows, is
+    # decided on A21 2^-e: A11 is rounding noise next to A21, so not bounded
+    assert rescaled_unbounded == 200

@@ -140,6 +140,28 @@ def test_the_psd_flow_has_one_home():
     assert found == []
 
 
+def test_the_power_of_two_rescale_has_one_home():
+    """``frexp`` and ``ldexp``, the exact 2^-e rescale, appear only in
+    ``numcore._pow2_unit``, and ``_close``, the comparison that falls back
+    to it where a norm overflows, is defined only in numcore."""
+    found = []
+    for path in sorted((ROOT / "src" / "kvnext").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        homes = [
+            node
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and (path.name, node.name) == ("numcore.py", "_pow2_unit")
+        ]
+        inside = {id(n) for home in homes for n in ast.walk(home)}
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in ("frexp", "ldexp") and id(node) not in inside:
+                found.append(f"{path.name}:{node.lineno} {name}")
+            if isinstance(node, ast.FunctionDef) and node.name == "_close" and path.name != "numcore.py":
+                found.append(f"{path.name}:{node.lineno} def _close")
+    assert found == []
+
+
 def test_membership_reads_one_factorization():
     """``in_interval`` decides membership by the interval theorem on one
     ``gram_spectrum``: it calls none of ``a_max``, ``_interval`` or

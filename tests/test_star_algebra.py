@@ -587,7 +587,7 @@ def test_a_subnormal_row_beside_an_overflowing_one_is_decided():
     # the 1e300 row's norm overflows, so every row is rescaled by 2^-e; for the
     # subnormal row 2^-e itself overflowed and the row failed on a NaN
     x = np.array([[1e300, 1e300, 0.0], [1e-310, 0.0, 0.0]])
-    assert star_algebra._close(x, x.copy(), 1e-10).tolist() == [True, True]
+    assert nc._close(x, x.copy(), 1e-10).tolist() == [True, True]
 
 
 def test_an_algebra_with_a_subnormal_basis_element_names_only_associativity():
